@@ -41,7 +41,7 @@ print(f"assignment cost   {rep.cost_ot:.12f}")
 print(f"eps_rel           {rep.epsilon_rel:.3e}")
 print(f"identity fraction {rep.identity_fraction:.3f}")
 
-bend = straightness_diagnostic(res.paths[:50])
+bend = straightness_diagnostic(res.states[:, :50, :])
 print(f"\nstraightness over 50 paths: median {np.median(bend):.3e}, "
       f"max {bend.max():.3e}")
 print("(0 would mean straight lines; the flow bends, optimal transport "

@@ -18,8 +18,8 @@ from .errors import (CertificateError, ConfigError, DegenerateCostError,
                      NumericalDomainError, SamplingError, TTFlowError)
 from .fpe import (DensityTrajectory, density_moments, fpe_solve,
                   rel_l2_distance)
-from .flow import (FlowPath, FlowResult, PointCloud, flow_integrate,
-                   paths_to_csv, sample_tt, straightness_diagnostic)
+from .flow import (FlowResult, PointCloud, flow_integrate, paths_to_csv,
+                   sample_tt, straightness_diagnostic)
 from .gaussian import (AnalyticGaussianFlow, GaussianSpec, eigen_shift,
                        eigen_stretch, encoder_map, finite_time_map,
                        gaussian_ot_cost, moments_at)
@@ -27,23 +27,23 @@ from .harness import (PRESETS, ExperimentConfig, aggregate_table,
                       config_from_dict, dump_trajectories, gaussian_check,
                       run_one, run_suite)
 from .transport import TransportReport, compare, ot_assignment, paired_cost
-from .tt import (TTTensor, frob_norm, load_tt, save_tt, tt_add, tt_eval,
-                 tt_extrema, tt_from_dense, tt_hadamard, tt_integrate,
-                 tt_mode_apply, tt_round, tt_scale, tt_weighted_inner)
+from .tt import (TTTensor, load_tt, save_tt, tt_add, tt_eval, tt_extrema,
+                 tt_from_dense, tt_hadamard, tt_integrate, tt_mode_apply,
+                 tt_round, tt_scale, tt_weighted_inner)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticGaussianFlow", "CertificateError", "CertifiedDensity", "ChebGrid",
     "ConfigError", "CrossResult", "DegenerateCostError", "DensityTrajectory",
-    "DomainBoundsError", "ExperimentConfig", "FlowPath", "FlowResult",
+    "DomainBoundsError", "ExperimentConfig", "FlowResult",
     "GaussianSpec", "InvalidShapeError", "MixtureSpec", "NumericalDomainError",
     "PRESETS", "PointCloud", "QuarticComponent", "SamplingError", "TTFlowError",
     "TTTensor", "TransportReport", "aggregate_table", "compare",
     "config_from_dict", "cross_approximate", "density_moments",
     "diag_gaussian_tt", "dump_trajectories", "eigen_shift", "eigen_stretch",
     "encoder_map", "finite_time_map", "flow_integrate", "fpe_solve",
-    "frob_norm", "gaussian_check", "gaussian_ot_cost", "gen_quartic_mixture",
+    "gaussian_check", "gaussian_ot_cost", "gen_quartic_mixture",
     "gen_tt_random", "load_tt", "maxvol", "mixture_callable", "moments_at",
     "normalize_and_certify", "ot_assignment", "paired_cost", "paths_to_csv",
     "rel_l2_distance", "run_one", "run_suite", "sample_tt", "save_tt",

@@ -135,10 +135,6 @@ class ChebGrid:
     def diff1(self, k: int) -> np.ndarray:
         return _diff_cached(self.ns[k], self.a, self.b)
 
-    def diff2(self, k: int) -> np.ndarray:
-        d1 = self.diff1(k)
-        return d1 @ d1
-
     def quad_weights(self, k: int) -> np.ndarray:
         return _cc_cached(self.ns[k], self.a, self.b)
 

@@ -112,35 +112,8 @@ def _random_rows(rng, sizes, count, existing=None) -> np.ndarray:
     return np.stack(rows[:count])
 
 
-def _initial_right_sets(initial: TTTensor, caps, rng) -> list:
-    """Nested right index sets extracted from a warm-start tensor by maxvol."""
-    d = initial.d
-    cores = list(initial.cores)
-    for k in range(d - 1, 0, -1):
-        r, n, s = cores[k].shape
-        q, rr = np.linalg.qr(cores[k].reshape(r, n * s).T)
-        cores[k] = q.T.reshape(-1, n, s)
-        cores[k - 1] = np.tensordot(cores[k - 1], rr.T, axes=([2], [0]))
-    right = [None] * (d + 1)
-    right[d] = np.zeros((1, 0), dtype=np.int64)
-    t_mat = np.ones((1, 1))
-    for k in range(d - 1, 0, -1):
-        core = cores[k]
-        r, n, s = core.shape
-        m = np.tensordot(core, t_mat, axes=([2], [0])).reshape(r, -1)
-        u, sv, _ = np.linalg.svd(m.T, full_matrices=False)
-        nnz = int((sv > (sv[0] if sv.size else 0) * 1e-13).sum()) or 1
-        take = max(1, min(caps[k], nnz, u.shape[1]))
-        piv = maxvol(u[:, :take])
-        combo = _combine(np.zeros((1, 0), dtype=np.int64), n, right[k + 1])
-        right[k] = combo[piv]
-        t_mat = m[:, piv]
-    return right
-
-
 def cross_approximate(f, mode_sizes, tol: float, max_rank: int = 30,
-                      rng=None, validation_size: int = 1000,
-                      initial: TTTensor | None = None, start_rank: int = 2,
+                      rng=None, validation_size: int = 1000, start_rank: int = 2,
                       max_sweeps: int = 60, maxvol_tol: float = 1.05) -> CrossResult:
     """Approximate ``f`` on the index grid by a TT tensor.
 
@@ -176,13 +149,8 @@ def cross_approximate(f, mode_sizes, tol: float, max_rank: int = 30,
 
     right = [None] * (d + 1)
     right[d] = np.zeros((1, 0), dtype=np.int64)
-    if initial is not None:
-        if initial.mode_sizes != sizes:
-            raise InvalidShapeError("warm-start tensor has different mode sizes")
-        right = _initial_right_sets(initial, caps, rng)
-    else:
-        for k in range(d - 1, 0, -1):
-            right[k] = _random_rows(rng, sizes[k:], min(start_rank, caps[k]))
+    for k in range(d - 1, 0, -1):
+        right[k] = _random_rows(rng, sizes[k:], min(start_rank, caps[k]))
 
     best = None
     val_err = np.inf

@@ -10,7 +10,7 @@ true stage times are used.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,18 +48,10 @@ class PointCloud:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
-class FlowPath:
-    """One point's trace through integration times."""
-
-    id: int
-    times: np.ndarray
-    states: np.ndarray
-
-
 class FlowResult(NamedTuple):
     x1: PointCloud
-    paths: list
+    states: np.ndarray  # (M+1, n, d): row m holds every point at times[m]
+    times: np.ndarray
     clamped: int
     failed_ids: list
 
@@ -166,25 +158,26 @@ def flow_integrate(provider, x0: PointCloud) -> FlowResult:
         states[m + 1] = x
 
     failed = [int(i) for i in x0.ids[~alive]]
-    times = np.arange(m_steps + 1) * h
-    paths = [FlowPath(id=int(x0.ids[i]), times=times, states=states[:, i, :].copy())
-             for i in range(n)]
     x1 = PointCloud(points=x, ids=x0.ids.copy())
-    return FlowResult(x1=x1, paths=paths, clamped=clamped, failed_ids=failed)
+    return FlowResult(x1=x1, states=states, times=np.arange(m_steps + 1) * h,
+                      clamped=clamped, failed_ids=failed)
 
 
-def straightness_diagnostic(paths, chord_floor: float = 0.0) -> np.ndarray:
+def straightness_diagnostic(states: np.ndarray, chord_floor: float = 0.0) -> np.ndarray:
     """Max perpendicular deviation from the start-end chord, per unit chord.
 
-    0 for perfectly straight (or stationary) paths. Chords no longer than
-    chord_floor count as stationary: the ratio on a path whose whole extent
-    is numerical noise measures nothing but that noise.
+    ``states`` is a (M+1, n, d) path array such as ``FlowResult.states``; the
+    result has one entry per path. 0 for perfectly straight (or stationary)
+    paths. Chords no longer than chord_floor count as stationary: the ratio
+    on a path whose whole extent is numerical noise measures nothing but
+    that noise.
     """
-    if len(paths) == 0:
-        raise InvalidShapeError("no paths given")
-    out = np.empty(len(paths))
-    for i, p in enumerate(paths):
-        s = p.states
+    if states.ndim != 3 or states.shape[1] == 0:
+        raise InvalidShapeError(f"need a (M+1, n, d) path array with n >= 1, "
+                                f"got shape {states.shape}")
+    out = np.empty(states.shape[1])
+    for i in range(states.shape[1]):
+        s = states[:, i, :]
         if not np.isfinite(s).all():
             out[i] = np.nan
             continue
@@ -200,12 +193,14 @@ def straightness_diagnostic(paths, chord_floor: float = 0.0) -> np.ndarray:
     return out
 
 
-def paths_to_csv(paths, path, d: int = None) -> None:
-    """Write paths as rows id,t,x_1..x_d (plot-ready long format)."""
-    d = paths[0].states.shape[1] if paths else (d or 0)
+def paths_to_csv(states: np.ndarray, times, ids, path) -> None:
+    """Write a (M+1, n, d) path array as rows id,t,x_1..x_d (long format).
+
+    Path i is labelled ``ids[i]``; rows run path by path, time by time.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "t"] + [f"x_{j + 1}" for j in range(d)])
-        for p in paths:
-            for t, s in zip(p.times, p.states):
-                writer.writerow([p.id, repr(float(t))] + [repr(float(v)) for v in s])
+        writer.writerow(["id", "t"] + [f"x_{j + 1}" for j in range(states.shape[2])])
+        for i, pid in enumerate(ids):
+            for t, s in zip(times, states[:, i, :]):
+                writer.writerow([int(pid), repr(float(t))] + [repr(float(v)) for v in s])

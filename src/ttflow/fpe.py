@@ -5,14 +5,14 @@ convection step, and another diffusion half-step. Both sub-flows act mode by
 mode, so a step is a product of per-mode linear maps on the cores: ranks
 never grow and no cross-approximation is needed inside the solver.
 
-Two half-step durations are offered. "strang" uses the textbook h/2 and is
-second order. "exact" uses tanh(h)/2, for which the dilate-blur-dilate
-composition reproduces the transition kernel of the underlying
-Ornstein-Uhlenbeck semigroup exactly in continuous space: blurring by
-exp(tau lap) commutes past the dilation x -> exp(-h) x at the cost of the
-variance factor exp(-2h), and tau (1 + exp(-2h)) = (1 - exp(-2h))/2 pins the
-total added variance to the exact 1 - exp(-2h). The residual error is then
-purely spatial (spectral interpolation and rounding), not O(h^2).
+Each diffusion half-step lasts tanh(h)/2 rather than the textbook h/2. With
+that duration the blur-dilate-blur composition reproduces the transition
+kernel of the underlying Ornstein-Uhlenbeck semigroup exactly in continuous
+space: blurring by exp(tau lap) commutes past the dilation x -> exp(-h) x at
+the cost of the variance factor exp(-2h), and tau (1 + exp(-2h)) =
+(1 - exp(-2h))/2 pins the total added variance to the exact 1 - exp(-2h).
+The residual error is then purely spatial (spectral interpolation and
+rounding), not O(h^2).
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .chebyshev import ChebGrid, interp_value_and_grad
 from .errors import ConfigError, InvalidShapeError, NumericalDomainError
 from .tt import (TTTensor, load_tt, save_tt, tt_extrema, tt_integrate,
                  tt_mode_apply, tt_round, tt_scale, tt_weighted_inner)
-
-_SPLITTINGS = ("exact", "strang")
 
 
 @functools.lru_cache(maxsize=32)
@@ -99,7 +97,6 @@ class DensityTrajectory:
     masses: list = field(default_factory=list)
     ranks: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
-    splitting: str = "exact"
     floor_hits: int = 0
     _peaks: dict = field(default_factory=dict, repr=False)
 
@@ -133,7 +130,6 @@ class DensityTrajectory:
             "h": self.h,
             "t_max": self.t_max,
             "m_steps": self.n_steps,
-            "splitting": self.splitting,
             "grid": {"ns": list(self.grid.ns), "a": self.grid.a, "b": self.grid.b},
             "masses": list(map(float, self.masses)),
             "ranks": [list(map(int, r)) for r in self.ranks],
@@ -154,20 +150,16 @@ class DensityTrajectory:
                  for m in range(man["m_steps"] + 1)]
         return cls(grid=grid, h=man["h"], t_max=man["t_max"], snapshots=snaps,
                    masses=man["masses"], ranks=[tuple(r) for r in man["ranks"]],
-                   warnings=man["warnings"], splitting=man["splitting"],
-                   floor_hits=man["floor_hits"])
+                   warnings=man["warnings"], floor_hits=man["floor_hits"])
 
 
 def fpe_solve(p0: TTTensor, grid: ChebGrid, m_steps: int, t_max: float, *,
-              splitting: str = "exact", round_tol: float = 1e-10,
-              max_rank: int = 50) -> DensityTrajectory:
+              round_tol: float = 1e-10, max_rank: int = 50) -> DensityTrajectory:
     """March p0 to t_max in m_steps equal splitting steps.
 
     Every step rounds to ``round_tol`` and renormalizes to unit mass; the
     pre-renormalization mass and post-rounding ranks are recorded per step.
     """
-    if splitting not in _SPLITTINGS:
-        raise ConfigError(f"splitting must be one of {_SPLITTINGS}")
     if m_steps < 1 or t_max <= 0:
         raise ConfigError(f"need m_steps >= 1 and t_max > 0, got {m_steps}, {t_max}")
     if p0.mode_sizes != grid.mode_sizes:
@@ -179,10 +171,9 @@ def fpe_solve(p0: TTTensor, grid: ChebGrid, m_steps: int, t_max: float, *,
         raise NumericalDomainError(f"initial mass {mass0} is not positive")
 
     h = t_max / m_steps
-    tau = np.tanh(h) / 2.0 if splitting == "exact" else h / 2.0
+    tau = np.tanh(h) / 2.0
     traj = DensityTrajectory(grid=grid, h=h, t_max=t_max,
-                             snapshots=[tt_scale(p0, 1.0 / mass0)],
-                             splitting=splitting)
+                             snapshots=[tt_scale(p0, 1.0 / mass0)])
     traj.masses.append(mass0)
     traj.ranks.append(p0.ranks)
 

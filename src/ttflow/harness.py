@@ -15,6 +15,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +23,9 @@ from .chebyshev import ChebGrid
 from .densities import (diag_gaussian_tt, gen_quartic_mixture, gen_tt_random,
                         normalize_and_certify)
 from .errors import ConfigError
-from .flow import flow_integrate, paths_to_csv, sample_tt, straightness_diagnostic
-from .fpe import fpe_solve, rel_l2_distance
+from .flow import (FlowResult, PointCloud, flow_integrate, paths_to_csv,
+                   sample_tt, straightness_diagnostic)
+from .fpe import DensityTrajectory, fpe_solve, rel_l2_distance
 from .gaussian import GaussianSpec, encoder_map, finite_time_map
 from .tt import tt_integrate, tt_scale
 from .transport import compare
@@ -52,7 +54,6 @@ class ExperimentConfig:
     cross_max_rank: int = 30
     round_tol: float = 1e-10
     solver_max_rank: int = 50
-    splitting: str = "exact"
     workers: int = 1
     out: str = None
     gaussian_mean: tuple = None
@@ -166,45 +167,65 @@ def _build_density(config: ExperimentConfig, grid: ChebGrid, seed: int):
     return tt_scale(t, 1.0 / mass), meta, spec
 
 
-def run_one(config: ExperimentConfig, index: int) -> dict:
-    """Full pipeline for density ``index``; returns the per-density report."""
+class _Run(NamedTuple):
+    """One density through generate -> solve -> sample -> flow."""
+
+    meta: dict
+    spec: GaussianSpec  # the closed-form law of a gaussian density, else None
+    traj: DensityTrajectory
+    x0: PointCloud
+    flow: FlowResult
+    timings: dict
+
+
+def _pipeline(config: ExperimentConfig, index: int, n_samples: int) -> _Run:
+    """The shared stages for density ``index``, seeded by its child seeds.
+
+    Stages are called through this module's names so that a caller (or a
+    tracer) patching ``ttflow.harness`` sees every one of them.
+    """
     t_start = time.perf_counter()
     grid = config.grid()
-    dseed = _child_seed(config.seed, index, 0)
-    sseed = _child_seed(config.seed, index, 1)
-
-    p0, meta, gauss_spec = _build_density(config, grid, dseed)
+    p0, meta, spec = _build_density(config, grid, _child_seed(config.seed, index, 0))
     t_gen = time.perf_counter()
-
     traj = fpe_solve(p0, grid, config.m_steps, config.t_max,
-                     splitting=config.splitting, round_tol=config.round_tol,
-                     max_rank=config.solver_max_rank)
+                     round_tol=config.round_tol, max_rank=config.solver_max_rank)
     t_solve = time.perf_counter()
-
-    x0 = sample_tt(p0, grid, config.n_samples, sseed)
+    x0 = sample_tt(p0, grid, n_samples, _child_seed(config.seed, index, 1))
     res = flow_integrate(traj, x0)
     t_flow = time.perf_counter()
+    timings = {"generate_s": t_gen - t_start, "solve_s": t_solve - t_gen,
+               "flow_s": t_flow - t_solve}
+    return _Run(meta, spec, traj, x0, res, timings)
 
-    report = compare(x0.points, res.x1.points).as_dict()
-    t_compare = time.perf_counter()
 
+def _max_gap(run: _Run, ref_map, *args) -> float:
+    """Largest endpoint distance from ``ref_map(spec, x0, *args)`` over
+    the paths that stayed finite."""
+    x1 = run.flow.x1.points
+    ok = np.isfinite(x1).all(axis=1)
+    ref = ref_map(run.spec, run.x0.points[ok], *args)
+    return float(np.linalg.norm(x1[ok] - ref, axis=1).max())
+
+
+def run_one(config: ExperimentConfig, index: int) -> dict:
+    """Full pipeline for density ``index``; returns the per-density report."""
+    run = _pipeline(config, index, config.n_samples)
+    t0 = time.perf_counter()
+    report = compare(run.x0.points, run.flow.x1.points).as_dict()
+    compare_s = time.perf_counter() - t0
     report.update(
         index=index,
-        density=meta,
-        flow={"clamped_stages": res.clamped, "failed_ids": res.failed_ids,
-              "score_floor_hits": traj.floor_hits,
-              "solver_warnings": traj.warnings},
+        density=run.meta,
+        flow={"clamped_stages": run.flow.clamped, "failed_ids": run.flow.failed_ids,
+              "score_floor_hits": run.traj.floor_hits,
+              "solver_warnings": run.traj.warnings},
         config=config.as_dict(),
     )
-    report["timings"].update(
-        generate_s=t_gen - t_start, solve_s=t_solve - t_gen,
-        flow_s=t_flow - t_solve, compare_s=t_compare - t_flow,
-        total_s=t_compare - t_start)
-    if gauss_spec is not None:
-        ok = np.isfinite(res.x1.points).all(axis=1)
-        ref = finite_time_map(gauss_spec, x0.points[ok], config.t_max)
-        gap = np.linalg.norm(res.x1.points[ok] - ref, axis=1)
-        report["map_discrepancy"] = float(gap.max())
+    report["timings"].update(run.timings, compare_s=compare_s,
+                             total_s=sum(run.timings.values()) + compare_s)
+    if run.spec is not None:
+        report["map_discrepancy"] = _max_gap(run, finite_time_map, config.t_max)
     return report
 
 
@@ -268,15 +289,9 @@ def gaussian_check(config: ExperimentConfig, mean=None, var=None) -> dict:
     cfg = replace(config, family="gaussian",
                   gaussian_mean=tuple(mean) if mean is not None else config.gaussian_mean,
                   gaussian_var=tuple(var) if var is not None else config.gaussian_var)
-    grid = cfg.grid()
-    dseed = _child_seed(cfg.seed, 0, 0)
-    mean_v, var_v = _gaussian_params(cfg, dseed)
-    spec = GaussianSpec(mean_v, np.diag(var_v))
-    p0, _, _ = _build_density(cfg, grid, dseed)
-
-    t0 = time.perf_counter()
-    traj = fpe_solve(p0, grid, cfg.m_steps, cfg.t_max, splitting=cfg.splitting,
-                     round_tol=cfg.round_tol, max_rank=cfg.solver_max_rank)
+    run = _pipeline(cfg, 0, cfg.n_samples)
+    grid, traj = run.traj.grid, run.traj
+    mean_v, var_v = np.array(run.meta["mean"]), np.array(run.meta["var"])
     weights = [grid.quad_weights(k) for k in range(grid.d)]
     l2 = []
     for m in range(traj.n_steps + 1):
@@ -285,29 +300,19 @@ def gaussian_check(config: ExperimentConfig, mean=None, var=None) -> dict:
                                1 + np.exp(-2 * t) * (var_v - 1))
         ref = tt_scale(ref, 1.0 / tt_integrate(ref, weights))
         l2.append(rel_l2_distance(traj.snapshots[m], ref, grid))
-    t_solve = time.perf_counter()
-
-    x0 = sample_tt(p0, grid, cfg.n_samples, _child_seed(cfg.seed, 0, 1))
-    res = flow_integrate(traj, x0)
-    ok = np.isfinite(res.x1.points).all(axis=1)
-    gap_finite = np.linalg.norm(
-        res.x1.points[ok] - finite_time_map(spec, x0.points[ok], cfg.t_max), axis=1)
-    gap_limit = np.linalg.norm(
-        res.x1.points[ok] - encoder_map(spec, x0.points[ok]), axis=1)
-    rep = compare(x0.points, res.x1.points)
+    rep = compare(run.x0.points, run.flow.x1.points)
     return {
         "config": cfg.as_dict(),
-        "mean": mean_v.tolist(),
-        "var": var_v.tolist(),
+        "mean": run.meta["mean"],
+        "var": run.meta["var"],
         "l2_per_step": [float(v) for v in l2],
         "l2_max": float(max(l2)),
-        "map_discrepancy_finite": float(gap_finite.max()),
-        "map_discrepancy_limit": float(gap_limit.max()),
+        "map_discrepancy_finite": _max_gap(run, finite_time_map, cfg.t_max),
+        "map_discrepancy_limit": _max_gap(run, encoder_map),
         "limit_bound": float(np.exp(-cfg.t_max) * np.abs(var_v - 1).max()),
         "epsilon_rel": rep.epsilon_rel,
         "excluded": rep.excluded,
-        "timings": {"solve_s": t_solve - t0,
-                    "flow_s": time.perf_counter() - t_solve},
+        "timings": run.timings,
     }
 
 
@@ -319,26 +324,19 @@ def dump_trajectories(config: ExperimentConfig, n_paths: int, out_csv,
     """
     if n_paths < 0:
         raise ConfigError(f"n_paths must be >= 0, got {n_paths}")
-    grid = config.grid()
-    dseed = _child_seed(config.seed, 0, 0)
-    p0, meta, _ = _build_density(config, grid, dseed)
-    traj = fpe_solve(p0, grid, config.m_steps, config.t_max,
-                     splitting=config.splitting, round_tol=config.round_tol,
-                     max_rank=config.solver_max_rank)
-    x0 = sample_tt(p0, grid, max(n_paths, 1), _child_seed(config.seed, 0, 1))
-    res = flow_integrate(traj, x0)
+    run = _pipeline(config, 0, max(n_paths, 1))
     chooser = np.random.default_rng(_child_seed(config.seed, 0, 2))
-    chosen = sorted(chooser.choice(len(res.paths), size=n_paths, replace=False))
-    paths = [res.paths[i] for i in chosen]
-    paths_to_csv(paths, out_csv, d=config.d)
+    chosen = sorted(chooser.choice(run.x0.n, size=n_paths, replace=False))
+    states, ids = run.flow.states[:, chosen, :], run.x0.ids[chosen]
+    paths_to_csv(states, run.flow.times, ids, out_csv)
     # sub-1e-6 chords are transport noise, reported straight
-    diag = straightness_diagnostic(paths, chord_floor=1e-6) if paths else np.array([])
+    diag = straightness_diagnostic(states, chord_floor=1e-6) if n_paths else []
     payload = {
-        "density": meta,
-        "ids": [p.id for p in paths],
+        "density": run.meta,
+        "ids": [int(i) for i in ids],
         "straightness": [float(v) for v in diag],
-        "clamped_stages": res.clamped,
-        "failed_ids": res.failed_ids,
+        "clamped_stages": run.flow.clamped,
+        "failed_ids": run.flow.failed_ids,
     }
     if out_json:
         with open(out_json, "w") as fh:

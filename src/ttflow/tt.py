@@ -215,13 +215,6 @@ def tt_integrate(t: TTTensor, weights) -> float:
     return float(v[0, 0])
 
 
-def frob_norm(t: TTTensor) -> float:
-    v = np.ones((1, 1))
-    for c in t.cores:
-        v = np.einsum("rR,rns,RnS->sS", v, c, c, optimize=True)
-    return float(np.sqrt(max(v[0, 0], 0.0)))
-
-
 def tt_weighted_inner(a: TTTensor, b: TTTensor, weights) -> float:
     """Weighted inner product sum_i w_i a_i b_i without forming the product.
 

@@ -73,20 +73,6 @@ def test_cross_rank_cap_flag():
     assert res.max_rank_reached <= 3
 
 
-def test_cross_warm_start_converges_fast():
-    xs = np.linspace(0, 1, 20)
-    dense = np.exp(-np.add.outer(np.add.outer(xs, 2 * xs), xs**2))
-    start = tt_from_dense(dense, tol=1e-6)
-
-    def f(idx):
-        return dense[idx[:, 0], idx[:, 1], idx[:, 2]] * 1.01
-
-    res = cross_approximate(f, dense.shape, tol=1e-10, max_rank=12,
-                            rng=np.random.default_rng(7), initial=start)
-    assert res.converged
-    assert res.sweeps <= 3
-
-
 def test_cross_rejects_non_finite_values():
     def f(idx):
         vals = np.ones(idx.shape[0])

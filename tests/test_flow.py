@@ -4,8 +4,8 @@ import pytest
 from ttflow.chebyshev import ChebGrid
 from ttflow.densities import diag_gaussian_tt, gen_quartic_mixture, normalize_and_certify
 from ttflow.errors import InvalidShapeError, SamplingError
-from ttflow.flow import (FlowPath, PointCloud, flow_integrate, paths_to_csv,
-                         sample_tt, straightness_diagnostic)
+from ttflow.flow import (PointCloud, flow_integrate, paths_to_csv, sample_tt,
+                         straightness_diagnostic)
 from ttflow.fpe import fpe_solve
 from ttflow.gaussian import (AnalyticGaussianFlow, GaussianSpec, encoder_map,
                              finite_time_map)
@@ -169,22 +169,25 @@ def test_paths_and_straightness():
     frozen = AnalyticGaussianFlow(GaussianSpec(np.zeros(2), np.diag([4.0, 1.0])), 5.0, 50)
     x0 = PointCloud(points=np.array([[2.0, 1.5], [0.5, -1.0], [0.0, 0.0]]))
     res = flow_integrate(frozen, x0)
-    assert len(res.paths) == 3
-    for p, start in zip(res.paths, x0.points):
-        assert np.array_equal(p.states[0], start)
-        assert p.times[0] == 0.0 and p.times[-1] == pytest.approx(5.0)
-        assert np.all(np.diff(p.times) > 0)
-    assert straightness_diagnostic(res.paths).max() < 1e-9
+    assert res.states.shape == (51, 3, 2)
+    assert np.array_equal(res.states[0], x0.points)
+    assert np.array_equal(res.states[-1], res.x1.points)
+    assert res.times[0] == 0.0 and res.times[-1] == pytest.approx(5.0)
+    assert np.all(np.diff(res.times) > 0)
+    diag = straightness_diagnostic(res.states)
+    assert diag.shape == (3,) and diag.max() < 1e-9
 
     bend = AnalyticGaussianFlow(GaussianSpec(np.zeros(2), np.diag([4.0, 0.25])), 5.0, 50)
     res_bend = flow_integrate(bend, x0)
-    diag = straightness_diagnostic(res_bend.paths)
+    diag = straightness_diagnostic(res_bend.states)
     assert diag[0] > 1e-3 and diag[1] > 1e-3
     assert diag[2] == 0.0  # origin is a fixed point
     # isotropic case: purely radial motion, perfectly straight
     iso = AnalyticGaussianFlow(GaussianSpec(np.zeros(2), 2 * np.eye(2)), 5.0, 50)
     res_iso = flow_integrate(iso, x0)
-    assert straightness_diagnostic(res_iso.paths).max() < 1e-6
+    assert straightness_diagnostic(res_iso.states).max() < 1e-6
+    with pytest.raises(InvalidShapeError):
+        straightness_diagnostic(res.states[:, :0, :])
 
 
 def test_translation_paths_are_straight():
@@ -192,7 +195,7 @@ def test_translation_paths_are_straight():
     provider = AnalyticGaussianFlow(spec, t_max=5.0, n_steps=40)
     x0 = PointCloud(points=np.array([[0.3, 0.7], [-1.0, 2.0]]))
     res = flow_integrate(provider, x0)
-    assert straightness_diagnostic(res.paths).max() < 1e-6
+    assert straightness_diagnostic(res.states).max() < 1e-6
 
 
 def test_paths_csv(tmp_path):
@@ -201,15 +204,18 @@ def test_paths_csv(tmp_path):
     x0 = PointCloud(points=np.array([[0.5, -0.5]]))
     res = flow_integrate(provider, x0)
     out = tmp_path / "paths.csv"
-    paths_to_csv(res.paths, out)
+    paths_to_csv(res.states, res.times, x0.ids, out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "id,t,x_1,x_2"
     assert len(lines) == 1 + 5
     first = lines[1].split(",")
     assert int(first[0]) == 0 and float(first[1]) == 0.0
     assert [float(v) for v in first[2:]] == [0.5, -0.5]
+    last = lines[-1].split(",")
+    assert float(last[1]) == pytest.approx(1.0)
+    assert [float(v) for v in last[2:]] == res.x1.points[0].tolist()
     empty = tmp_path / "empty.csv"
-    paths_to_csv([], empty, d=3)
+    paths_to_csv(np.empty((5, 0, 3)), res.times, [], empty)
     assert empty.read_text().strip() == "id,t,x_1,x_2,x_3"
 
 

@@ -127,17 +127,12 @@ def test_gaussian_moment_tracking():
         assert abs(cov[0, 1]) < 1e-4
 
 
-def test_strang_splitting_is_second_order():
+def test_exact_kernel_splitting_has_no_time_step_error():
+    # tanh(h)/2 half-steps reproduce the OU kernel, so 8 steps of h = 1/8
+    # already match the closed form to spatial accuracy (no O(h^2) term)
     grid = ChebGrid((96,), -8.0, 8.0)
     p0 = _norm_tt(grid, 0.0, 2.0)
     ref = _norm_tt(grid, 0.0, 1 + np.exp(-2.0) * (2.0 - 1))
-    errs = []
-    for m_steps in (8, 16, 32):
-        traj = fpe_solve(p0, grid, m_steps=m_steps, t_max=1.0, splitting="strang")
-        errs.append(rel_l2_distance(traj.snapshots[-1], ref, grid))
-    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    assert np.all(orders >= 1.8)
-    # the exact-kernel variant has no O(h^2) term at all
     exact = fpe_solve(p0, grid, m_steps=8, t_max=1.0)
     assert rel_l2_distance(exact.snapshots[-1], ref, grid) < 1e-7
 
@@ -219,7 +214,6 @@ def test_trajectory_save_load_roundtrip(tmp_path):
     traj.save(out)
     back = DensityTrajectory.load(out)
     assert back.h == traj.h and back.n_steps == traj.n_steps
-    assert back.splitting == traj.splitting
     assert back.masses == pytest.approx(traj.masses)
     for a, b in zip(traj.snapshots, back.snapshots):
         assert all(np.array_equal(ca, cb) for ca, cb in zip(a.cores, b.cores))
@@ -228,8 +222,6 @@ def test_trajectory_save_load_roundtrip(tmp_path):
 def test_solver_validation():
     grid = ChebGrid.uniform(2, 32, -8.0, 8.0)
     p0 = _norm_tt(grid, 0.0, 1.0)
-    with pytest.raises(ConfigError):
-        fpe_solve(p0, grid, m_steps=4, t_max=1.0, splitting="verlet")
     with pytest.raises(ConfigError):
         fpe_solve(p0, grid, m_steps=0, t_max=1.0)
     other = ChebGrid.uniform(2, 16, -8.0, 8.0)

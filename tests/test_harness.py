@@ -171,6 +171,18 @@ def test_gaussian_family_suite_run():
     assert rep["density"]["family"] == "gaussian"
 
 
+def test_run_one_and_gaussian_check_share_one_pipeline():
+    # same child seeds and solver arguments, so the same endpoints
+    cfg = ExperimentConfig(d=2, n_grid=48, m_steps=32, family="gaussian",
+                           n_samples=50, n_densities=1, seed=3,
+                           gaussian_mean=(1.0, 0.0), gaussian_var=(2.0, 0.5))
+    rep = run_one(cfg, 0)
+    check = gaussian_check(cfg)
+    assert rep["map_discrepancy"] == check["map_discrepancy_finite"]
+    assert rep["epsilon_rel"] == check["epsilon_rel"]
+    assert rep["density"]["mean"] == check["mean"] == [1.0, 0.0]
+
+
 def test_dump_trajectories_header_only(tmp_path):
     cfg = ExperimentConfig(d=2, n_grid=32, m_steps=8, family="gaussian",
                            n_samples=10, n_densities=1, seed=2,

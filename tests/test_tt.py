@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ttflow.errors import InvalidShapeError, NumericalDomainError
-from ttflow.tt import (TTTensor, frob_norm, load_tt, save_tt, tt_add, tt_eval,
-                       tt_extrema, tt_from_dense, tt_hadamard, tt_integrate,
-                       tt_mode_apply, tt_round, tt_scale, tt_weighted_inner)
+from ttflow.tt import (TTTensor, load_tt, save_tt, tt_add, tt_eval, tt_extrema,
+                       tt_from_dense, tt_hadamard, tt_integrate, tt_mode_apply,
+                       tt_round, tt_scale, tt_weighted_inner)
 
 
 def _random_dense(rng, d):
@@ -119,13 +119,6 @@ def test_integrate_matches_dense_and_is_linear():
     lin = tt_integrate(tt_add(tt_scale(ta, 2.0), tb), ws)
     assert lin == pytest.approx(2 * tt_integrate(ta, ws) + tt_integrate(tb, ws),
                                 rel=1e-11, abs=1e-11)
-
-
-def test_frob_norm_matches_dense():
-    rng = np.random.default_rng(9)
-    a = _random_dense(rng, 3)
-    t = tt_from_dense(a)
-    assert frob_norm(t) == pytest.approx(np.linalg.norm(a), rel=1e-12)
 
 
 def test_extrema_estimate_on_separable_tensor():

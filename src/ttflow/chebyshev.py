@@ -171,41 +171,27 @@ def _cc_cached(n, a, b):
     return w
 
 
-def _chain_factors(tt, grid: ChebGrid, x: np.ndarray, outside: str):
-    """Per-mode contractions T_k[p] = W_k[p, :] . G_k for a batch of points."""
+def interp_value_and_grad(tt, grid: ChebGrid, x: np.ndarray,
+                          outside: str = "error"):
+    """Interpolant values and gradients at ``x`` (m, d): returns (m,), (m, d).
+
+    Mode k contributes the factor W_k G_k per point, with W_k the
+    interpolation rows at x[:, k] and G_k the core unfolded to n x (r s). Its
+    derivative factor is W_k (D1 G_k): the core is differentiated once, at
+    n^2 r s cost, and reuses the value's rows instead of forming the m x n
+    product W_k D1. Prefix/suffix chain products are shared across modes.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != grid.d:
         raise InvalidShapeError(f"points have {x.shape[1]} coords, grid is {grid.d}-d")
-    factors = []
-    wmats = []
+    m, d = x.shape
+    factors, dfactors = [], []
     for k, core in enumerate(tt.cores):
-        wk = grid.interp_rows(k, x[:, k], outside=outside)
         r, n, s = core.shape
-        t = wk @ core.transpose(1, 0, 2).reshape(n, r * s)
-        factors.append(t.reshape(-1, r, s))
-        wmats.append(wk)
-    return x, factors, wmats
-
-
-def interp_eval(tt, grid: ChebGrid, x: np.ndarray, outside: str = "error") -> np.ndarray:
-    """Evaluate the TT grid interpolant at points ``x`` (m, d) -> (m,)."""
-    x, factors, _ = _chain_factors(tt, grid, x, outside)
-    p = factors[0][:, 0, :]
-    for t in factors[1:]:
-        p = np.einsum("pr,prs->ps", p, t)
-    return p[:, 0]
-
-
-def interp_value_and_grad(tt, grid: ChebGrid, x: np.ndarray,
-                          outside: str = "error"):
-    """Interpolant values and gradients at ``x``: returns (m,), (m, d).
-
-    The gradient of mode k replaces that mode's interpolation weights with
-    rows of W_k . D1; prefix/suffix chain products are shared across modes.
-    """
-    x, factors, wmats = _chain_factors(tt, grid, x, outside)
-    m = x.shape[0]
-    d = grid.d
+        wk = grid.interp_rows(k, x[:, k], outside=outside)
+        gk = core.transpose(1, 0, 2).reshape(n, r * s)
+        factors.append((wk @ gk).reshape(m, r, s))
+        dfactors.append((wk @ (grid.diff1(k) @ gk)).reshape(m, r, s))
     prefix = [np.ones((m, 1))]
     for t in factors:
         prefix.append(np.einsum("pr,prs->ps", prefix[-1], t))
@@ -215,9 +201,5 @@ def interp_value_and_grad(tt, grid: ChebGrid, x: np.ndarray,
     vals = prefix[d][:, 0]
     grads = np.empty((m, d))
     for k in range(d):
-        core = tt.cores[k]
-        r, n, s = core.shape
-        wg = wmats[k] @ grid.diff1(k)
-        tg = (wg @ core.transpose(1, 0, 2).reshape(n, r * s)).reshape(m, r, s)
-        grads[:, k] = np.einsum("pr,prs,ps->p", prefix[k], tg, suffix[k + 1])
+        grads[:, k] = np.einsum("pr,prs,ps->p", prefix[k], dfactors[k], suffix[k + 1])
     return vals, grads

@@ -52,19 +52,11 @@ def _heat_propagator(n: int, a: float, b: float, tau: float) -> np.ndarray:
 
 
 def _heat_apply(p: TTTensor, grid: ChebGrid, tau: float) -> TTTensor:
+    """Heat semigroup exp(tau lap), applied along every mode."""
     for k in range(grid.d):
         e = _heat_propagator(grid.ns[k], grid.a, grid.b, tau)
         p = tt_mode_apply(p, e, k)
     return p
-
-
-def diffusion_halfstep(p: TTTensor, grid: ChebGrid, h: float) -> TTTensor:
-    """Heat semigroup over duration h/2, applied along every mode."""
-    if h < 0:
-        raise InvalidShapeError(f"negative step {h}")
-    if h == 0:
-        return p
-    return _heat_apply(p, grid, h / 2.0)
 
 
 def convection_step(p: TTTensor, grid: ChebGrid, h: float) -> TTTensor:

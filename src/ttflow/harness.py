@@ -344,6 +344,10 @@ def dump_trajectories(config: ExperimentConfig, n_paths: int, out_csv,
     return payload
 
 
+def _fmt(value, spec: str) -> str:
+    return "n/a" if value is None else format(value, spec)
+
+
 def aggregate_table(summary_paths, out_csv=None) -> str:
     """Collect suite summaries into a compact markdown table."""
     rows = []
@@ -368,8 +372,8 @@ def aggregate_table(summary_paths, out_csv=None) -> str:
     for r in rows:
         lines.append(
             f"| {r['d']} | {r['n_grid']} | {r['m_steps']} | {r['family']} | "
-            f"{r['n_densities']} | {r['n_samples']} | {r['epsilon_rel_max']:.3e} | "
-            f"{r['epsilon_rel_median']:.3e} | {r['mean_time_s']:.2f} |")
+            f"{r['n_densities']} | {r['n_samples']} | {_fmt(r['epsilon_rel_max'], '.3e')} | "
+            f"{_fmt(r['epsilon_rel_median'], '.3e')} | {_fmt(r['mean_time_s'], '.2f')} |")
     table = "\n".join(lines)
     if out_csv:
         import csv as _csv

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ttflow.chebyshev import (ChebGrid, cc_weights, cheb_nodes, diff_matrix,
-                              interp_matrix, interp_eval, interp_value_and_grad)
+                              interp_matrix, interp_value_and_grad)
 from ttflow.errors import DomainBoundsError, InvalidShapeError
 from ttflow.tt import tt_from_dense
 
@@ -81,9 +81,9 @@ def test_interp_matrix_outside_modes():
     assert m[1].sum() == pytest.approx(1.0, abs=1e-13)
 
 
-def _smooth_tt(grid, f):
+def _smooth_tt(grid, f, tol=0.0):
     pts = np.meshgrid(*[grid.nodes(k) for k in range(grid.d)], indexing="ij")
-    return tt_from_dense(f(*pts))
+    return tt_from_dense(f(*pts), tol=tol)
 
 
 def test_interp_eval_matches_grid_values():
@@ -92,7 +92,7 @@ def test_interp_eval_matches_grid_values():
     t = _smooth_tt(grid, f)
     xg, yg = np.meshgrid(grid.nodes(0), grid.nodes(1), indexing="ij")
     pts = np.column_stack([xg.ravel(), yg.ravel()])
-    vals = interp_eval(t, grid, pts)
+    vals = interp_value_and_grad(t, grid, pts)[0]
     assert np.abs(vals - f(pts[:, 0], pts[:, 1])).max() <= 1e-12
 
 
@@ -102,7 +102,7 @@ def test_interp_eval_spectral_between_nodes():
     t = _smooth_tt(grid, f)
     rng = np.random.default_rng(3)
     pts = rng.uniform(-8, 8, size=(200, 2))
-    vals = interp_eval(t, grid, pts)
+    vals = interp_value_and_grad(t, grid, pts)[0]
     assert np.abs(vals - f(pts[:, 0], pts[:, 1])).max() <= 1e-9
 
 
@@ -113,20 +113,39 @@ def test_interp_grad_matches_finite_differences():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-3, 3, size=(50, 3))
     vals, grads = interp_value_and_grad(t, grid, pts)
-    assert np.abs(vals - interp_eval(t, grid, pts)).max() <= 1e-13
     eps = 1e-5
     for k in range(3):
         shift = np.zeros(3)
         shift[k] = eps
-        fd = (interp_eval(t, grid, pts + shift) - interp_eval(t, grid, pts - shift)) / (2 * eps)
+        fd = (interp_value_and_grad(t, grid, pts + shift)[0]
+              - interp_value_and_grad(t, grid, pts - shift)[0]) / (2 * eps)
         assert np.abs(grads[:, k] - fd).max() <= 1e-5
+
+
+def test_interp_grad_exact_on_rank_3_polynomial():
+    # degree < n in every mode, so the interpolant is the polynomial itself;
+    # ranks 3 and 3 make any mix-up of the core's rank indices visible
+    grid = ChebGrid.uniform(3, 12, -2.0, 2.0)
+    f = lambda x, y, z: x * y**2 + y * z**3 + x**2 * z
+    t = _smooth_tt(grid, f, tol=1e-12)
+    assert t.ranks == (1, 3, 3, 1)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.9, 1.9, size=(40, 3))
+    x, y, z = pts.T
+    vals, grads = interp_value_and_grad(t, grid, pts)
+    assert np.abs(vals - f(x, y, z)).max() <= 1e-10
+    exact = np.column_stack([y**2 + 2 * x * z, 2 * x * y + z**3, 3 * y * z**2 + x**2])
+    assert np.abs(grads - exact).max() <= 1e-10
+    vals, grads = interp_value_and_grad(t, grid, np.array([[0.5, -1.0, 2.5]]),
+                                        outside="zero")
+    assert vals[0] == 0.0 and np.all(grads == 0.0)
 
 
 def test_interp_eval_rejects_outside_points():
     grid = ChebGrid.uniform(2, 10, -1.0, 1.0)
     t = _smooth_tt(grid, lambda x, y: x + y)
     with pytest.raises(DomainBoundsError):
-        interp_eval(t, grid, np.array([[0.0, 2.0]]))
+        interp_value_and_grad(t, grid, np.array([[0.0, 2.0]]))
 
 
 def test_grid_index_to_point():

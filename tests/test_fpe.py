@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from ttflow.chebyshev import ChebGrid, interp_eval
+from ttflow.chebyshev import ChebGrid, interp_value_and_grad
 from ttflow.cross import cross_approximate
 from ttflow.densities import diag_gaussian_tt, gen_quartic_mixture, normalize_and_certify
 from ttflow.errors import ConfigError, InvalidShapeError
-from ttflow.fpe import (DensityTrajectory, convection_step, density_moments,
-                        diffusion_halfstep, fpe_solve, rel_l2_distance)
+from ttflow.fpe import (DensityTrajectory, _heat_apply, convection_step,
+                        density_moments, fpe_solve, rel_l2_distance)
 from ttflow.tt import tt_extrema, tt_integrate, tt_scale
 
 
@@ -16,11 +16,10 @@ def _norm_tt(grid, mean, var):
     return tt_scale(t, 1.0 / mass)
 
 
-def test_diffusion_identity_and_rank():
+def test_diffusion_keeps_ranks():
     grid = ChebGrid.uniform(2, 48, -8.0, 8.0)
     p = diag_gaussian_tt(grid, 0.0, 1.0)
-    assert diffusion_halfstep(p, grid, 0.0) is p
-    out = diffusion_halfstep(p, grid, 0.1)
+    out = _heat_apply(p, grid, 0.05)
     assert out.ranks == p.ranks
 
 
@@ -28,7 +27,7 @@ def test_diffusion_matches_heat_kernel():
     # unit-coefficient Laplacian: variance grows by 2*tau
     grid = ChebGrid((128,), -8.0, 8.0)
     p = diag_gaussian_tt(grid, 0.0, 1.0)
-    out = diffusion_halfstep(p, grid, 0.2)  # diffusion time 0.1
+    out = _heat_apply(p, grid, 0.1)
     ref = diag_gaussian_tt(grid, 0.0, 1.2)
     assert rel_l2_distance(out, ref, grid) < 1e-6
 
@@ -59,8 +58,8 @@ def test_convection_agrees_with_cross_realization():
     gain = np.exp(grid.d * h)
 
     def f(idx):
-        return gain * interp_eval(p, grid, scale * grid.index_to_point(idx),
-                                  outside="zero")
+        return gain * interp_value_and_grad(p, grid, scale * grid.index_to_point(idx),
+                                            outside="zero")[0]
 
     res = cross_approximate(f, grid.mode_sizes, tol=1e-10, max_rank=10,
                             rng=np.random.default_rng(0))
@@ -180,8 +179,8 @@ def test_score_matches_log_density_differences():
     for j in range(2):
         shift = np.zeros(2)
         shift[j] = eps
-        lp = np.log(interp_eval(res.tensor, grid, x + shift))
-        lm = np.log(interp_eval(res.tensor, grid, x - shift))
+        lp = np.log(interp_value_and_grad(res.tensor, grid, x + shift)[0])
+        lm = np.log(interp_value_and_grad(res.tensor, grid, x - shift)[0])
         fd = (lp - lm) / (2 * eps)
         assert np.abs(got[:, j] - fd).max() < 1e-5
 

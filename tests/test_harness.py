@@ -235,3 +235,18 @@ def test_aggregate_table(tmp_path):
     with open(csv_out) as fh:
         rows = fh.read().splitlines()
     assert len(rows) == 3 and rows[0].startswith("d,n_grid,m_steps")
+
+
+def test_aggregate_table_all_densities_failed(monkeypatch, tmp_path):
+    import ttflow.harness as H
+
+    def fail(config, index):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(H, "run_one", fail)
+    out = str(tmp_path / "failed")
+    s = run_suite(ExperimentConfig(**dict(TOY, n_densities=2), out=out))
+    assert s["status"] == "failed" and s["epsilon_rel_max"] is None
+    table = aggregate_table([os.path.join(out, "summary.json")])
+    assert table.splitlines()[2] == (
+        "| 2 | 32 | 8 | quartic-mixture | 0 | 25 | n/a | n/a | n/a |")

@@ -27,9 +27,9 @@ from .harness import (PRESETS, ExperimentConfig, aggregate_table,
                       config_from_dict, dump_trajectories, gaussian_check,
                       run_one, run_suite)
 from .transport import TransportReport, compare, ot_assignment, paired_cost
-from .tt import (TTTensor, load_tt, save_tt, tt_add, tt_eval, tt_extrema,
-                 tt_from_dense, tt_hadamard, tt_integrate, tt_mode_apply,
-                 tt_round, tt_scale, tt_weighted_inner)
+from .tt import (TTTensor, tt_add, tt_eval, tt_extrema, tt_from_dense,
+                 tt_hadamard, tt_integrate, tt_mode_apply, tt_round, tt_scale,
+                 tt_weighted_inner)
 
 __version__ = "0.1.0"
 
@@ -44,9 +44,9 @@ __all__ = [
     "diag_gaussian_tt", "dump_trajectories", "eigen_shift", "eigen_stretch",
     "encoder_map", "finite_time_map", "flow_integrate", "fpe_solve",
     "gaussian_check", "gaussian_ot_cost", "gen_quartic_mixture",
-    "gen_tt_random", "load_tt", "maxvol", "mixture_callable", "moments_at",
+    "gen_tt_random", "maxvol", "mixture_callable", "moments_at",
     "normalize_and_certify", "ot_assignment", "paired_cost", "paths_to_csv",
-    "rel_l2_distance", "run_one", "run_suite", "sample_tt", "save_tt",
+    "rel_l2_distance", "run_one", "run_suite", "sample_tt",
     "straightness_diagnostic", "tt_add", "tt_eval", "tt_extrema",
     "tt_from_dense", "tt_hadamard", "tt_integrate", "tt_mode_apply",
     "tt_round", "tt_scale", "tt_weighted_inner",

@@ -11,7 +11,6 @@ spatial extent toward the box center until the certificate passes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -25,6 +24,9 @@ from .tt import TTTensor, tt_extrema, tt_integrate, tt_mode_apply, tt_scale
 # quadrature resolution used for per-component normalizers; quartic
 # exponentials on [-8, 8] are fully resolved well before this
 _NORM_N = 72
+
+CROSS_MAX_RANK = 30  # rank cap of the cross approximation
+BOUNDARY_TOL = 1e-12  # largest boundary-face node value over the peak node value
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,9 @@ class QuarticComponent:
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Replayable parameter set of a quartic-exponential mixture."""
+    """Parameter set of a quartic-exponential mixture."""
 
     components: tuple
-    seed: int
 
     @property
     def k(self) -> int:
@@ -69,26 +70,6 @@ class MixtureSpec:
     @property
     def d(self) -> int:
         return self.components[0].a1.size
-
-    def to_json(self, path) -> None:
-        payload = {
-            "seed": self.seed,
-            "components": [
-                {"a1": c.a1.tolist(), "a2": c.a2.tolist(),
-                 "q1": c.q1.tolist(), "q2": c.q2.tolist()}
-                for c in self.components
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, path) -> "MixtureSpec":
-        with open(path) as fh:
-            payload = json.load(fh)
-        comps = tuple(QuarticComponent(c["a1"], c["a2"], c["q1"], c["q2"])
-                      for c in payload["components"])
-        return cls(components=comps, seed=int(payload["seed"]))
 
 
 def _component_normalizers(spec: MixtureSpec, box) -> np.ndarray:
@@ -141,7 +122,7 @@ def gen_quartic_mixture(d: int, seed: int, box=(-8.0, 8.0)):
         q1 = 0.5 * (m1 @ m1.T) + 0.3 * np.eye(d)
         q2 = 0.05 * (0.5 * (m2 @ m2.T) + 0.3 * np.eye(d))
         comps.append(QuarticComponent(a1, a2, q1, q2))
-    spec = MixtureSpec(components=tuple(comps), seed=seed)
+    spec = MixtureSpec(components=tuple(comps))
     return spec, mixture_callable(spec, box)
 
 
@@ -223,13 +204,12 @@ def _face_abs_max(t: TTTensor, mode: int, side: int, rng) -> float:
 
 
 def normalize_and_certify(density, grid: ChebGrid, *, cross_tol: float = 1e-8,
-                          max_rank: int = 30, boundary_tol: float = 1e-12,
                           max_rescales: int = 10, seed: int = 0) -> CertifiedDensity:
     """Grid TT representation with unit integral and certified boundary decay.
 
     ``density`` is either a callable on points of shape (m, d) or an existing
     TTTensor on this grid. The certificate demands every boundary-face node
-    value be at most ``boundary_tol`` times the peak node value; failures
+    value be at most ``BOUNDARY_TOL`` times the peak node value; failures
     shrink the density's spatial extent by 0.8 about the box center and retry.
     """
     rng = np.random.default_rng(seed)
@@ -241,7 +221,7 @@ def normalize_and_certify(density, grid: ChebGrid, *, cross_tol: float = 1e-8,
             def f(idx, s=scale):
                 return density(grid.index_to_point(idx) / s)
             res = cross_approximate(f, grid.mode_sizes, tol=cross_tol,
-                                    max_rank=max_rank, rng=rng)
+                                    max_rank=CROSS_MAX_RANK, rng=rng)
             t, cross_info = res.tensor, res
         else:
             t = density
@@ -263,9 +243,9 @@ def normalize_and_certify(density, grid: ChebGrid, *, cross_tol: float = 1e-8,
         worst = max(_face_abs_max(t, mode, side, rng)
                     for mode in range(grid.d) for side in (0, 1))
         ratio = worst / peak
-        if ratio <= boundary_tol:
+        if ratio <= BOUNDARY_TOL:
             return CertifiedDensity(t, attempt, ratio, mass, cross_info)
         scale *= 0.8
     raise CertificateError(
         f"boundary decay certificate unmet after {max_rescales} rescales "
-        f"(last ratio {ratio:.3e} > {boundary_tol:.1e})")
+        f"(last ratio {ratio:.3e} > {BOUNDARY_TOL:.1e})")

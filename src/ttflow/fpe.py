@@ -18,8 +18,6 @@ rounding), not O(h^2).
 from __future__ import annotations
 
 import functools
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +25,11 @@ from scipy.linalg import expm
 
 from .chebyshev import ChebGrid, interp_value_and_grad
 from .errors import ConfigError, InvalidShapeError, NumericalDomainError
-from .tt import (TTTensor, load_tt, save_tt, tt_extrema, tt_integrate,
-                 tt_mode_apply, tt_round, tt_scale, tt_weighted_inner)
+from .tt import (TTTensor, tt_extrema, tt_integrate, tt_mode_apply, tt_round,
+                 tt_scale, tt_weighted_inner)
+
+ROUND_TOL = 1e-10  # relative Frobenius tolerance of the per-step rounding
+ROUND_MAX_RANK = 50  # rank cap of the per-step rounding
 
 
 @functools.lru_cache(maxsize=32)
@@ -84,7 +85,6 @@ class DensityTrajectory:
 
     grid: ChebGrid
     h: float
-    t_max: float
     snapshots: list
     masses: list = field(default_factory=list)
     ranks: list = field(default_factory=list)
@@ -116,41 +116,14 @@ class DensityTrajectory:
         self.floor_hits += int(low.sum())
         return grads / np.maximum(vals, floor)[:, None]
 
-    def save(self, path) -> None:
-        os.makedirs(path, exist_ok=True)
-        manifest = {
-            "h": self.h,
-            "t_max": self.t_max,
-            "m_steps": self.n_steps,
-            "grid": {"ns": list(self.grid.ns), "a": self.grid.a, "b": self.grid.b},
-            "masses": list(map(float, self.masses)),
-            "ranks": [list(map(int, r)) for r in self.ranks],
-            "warnings": list(self.warnings),
-            "floor_hits": self.floor_hits,
-        }
-        with open(os.path.join(path, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-        for m, snap in enumerate(self.snapshots):
-            save_tt(snap, os.path.join(path, f"snapshot_{m:06d}.tt"))
 
-    @classmethod
-    def load(cls, path) -> "DensityTrajectory":
-        with open(os.path.join(path, "manifest.json")) as fh:
-            man = json.load(fh)
-        grid = ChebGrid(tuple(man["grid"]["ns"]), man["grid"]["a"], man["grid"]["b"])
-        snaps = [load_tt(os.path.join(path, f"snapshot_{m:06d}.tt"))
-                 for m in range(man["m_steps"] + 1)]
-        return cls(grid=grid, h=man["h"], t_max=man["t_max"], snapshots=snaps,
-                   masses=man["masses"], ranks=[tuple(r) for r in man["ranks"]],
-                   warnings=man["warnings"], floor_hits=man["floor_hits"])
-
-
-def fpe_solve(p0: TTTensor, grid: ChebGrid, m_steps: int, t_max: float, *,
-              round_tol: float = 1e-10, max_rank: int = 50) -> DensityTrajectory:
+def fpe_solve(p0: TTTensor, grid: ChebGrid, m_steps: int,
+              t_max: float) -> DensityTrajectory:
     """March p0 to t_max in m_steps equal splitting steps.
 
-    Every step rounds to ``round_tol`` and renormalizes to unit mass; the
-    pre-renormalization mass and post-rounding ranks are recorded per step.
+    Every step rounds to ``ROUND_TOL`` under the rank cap ``ROUND_MAX_RANK``
+    and renormalizes to unit mass; the pre-renormalization mass and
+    post-rounding ranks are recorded per step.
     """
     if m_steps < 1 or t_max <= 0:
         raise ConfigError(f"need m_steps >= 1 and t_max > 0, got {m_steps}, {t_max}")
@@ -164,8 +137,7 @@ def fpe_solve(p0: TTTensor, grid: ChebGrid, m_steps: int, t_max: float, *,
 
     h = t_max / m_steps
     tau = np.tanh(h) / 2.0
-    traj = DensityTrajectory(grid=grid, h=h, t_max=t_max,
-                             snapshots=[tt_scale(p0, 1.0 / mass0)])
+    traj = DensityTrajectory(grid=grid, h=h, snapshots=[tt_scale(p0, 1.0 / mass0)])
     traj.masses.append(mass0)
     traj.ranks.append(p0.ranks)
 
@@ -174,9 +146,9 @@ def fpe_solve(p0: TTTensor, grid: ChebGrid, m_steps: int, t_max: float, *,
         p = _heat_apply(p, grid, tau)
         p = convection_step(p, grid, h)
         p = _heat_apply(p, grid, tau)
-        p = tt_round(p, round_tol, max_rank)
-        if max(p.ranks) >= max_rank:
-            traj.warnings.append(f"step {m}: rounding hit the rank cap {max_rank}")
+        p = tt_round(p, ROUND_TOL, ROUND_MAX_RANK)
+        if max(p.ranks) >= ROUND_MAX_RANK:
+            traj.warnings.append(f"step {m}: rounding hit the rank cap {ROUND_MAX_RANK}")
         mass = tt_integrate(p, weights)
         if not np.isfinite(mass) or mass <= 0:
             raise NumericalDomainError(f"mass {mass} at step {m} is not positive")

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidShapeError, NumericalDomainError
 
@@ -79,19 +78,12 @@ def eigen_stretch(lam, t: float):
 def eigen_shift(lam, t: float):
     """Per-eigendirection mean-offset coefficient of the flow map at time ``t``.
 
-    Evaluated as -sqrt(lam) f(lam, t) * int_0^t exp(-s) (exp(-2s)(lam-1)+1)^{-3/2} ds
-    by adaptive quadrature to 1e-12.
+    -sqrt(lam) f int_0^t exp(-s) u(s)^{-3/2} ds with u(s) = exp(-2s)(lam-1) + 1
+    and f = ``eigen_stretch``; the antiderivative -exp(-s)/sqrt(u(s)) of the
+    integrand collapses it to exp(-t) - f.
     """
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    if np.any(lam_arr <= 0):
-        raise InvalidShapeError("eigenvalues must be positive")
-    out = np.empty(lam_arr.shape)
-    for i, lv in enumerate(lam_arr.ravel()):
-        integral, _ = quad(
-            lambda s: np.exp(-s) * (np.exp(-2 * s) * (lv - 1) + 1) ** -1.5,
-            0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
-        out.ravel()[i] = -np.sqrt(lv) * float(eigen_stretch(lv, t)) * integral
-    return out if np.ndim(lam) else float(out[0])
+    g = np.exp(-t) - eigen_stretch(lam, t)
+    return g if np.ndim(lam) else float(g)
 
 
 def finite_time_map(spec: GaussianSpec, x: np.ndarray, t: float) -> np.ndarray:

@@ -50,10 +50,6 @@ class ExperimentConfig:
     n_samples: int = 500
     n_densities: int = 100
     seed: int = 0
-    cross_tol: float = 1e-8
-    cross_max_rank: int = 30
-    round_tol: float = 1e-10
-    solver_max_rank: int = 50
     workers: int = 1
     out: str = None
     gaussian_mean: tuple = None
@@ -142,8 +138,7 @@ def _build_density(config: ExperimentConfig, grid: ChebGrid, seed: int):
     meta = {"family": config.family, "density_seed": seed}
     if config.family == "quartic-mixture":
         spec, f = gen_quartic_mixture(config.d, seed, box=config.box)
-        res = normalize_and_certify(f, grid, cross_tol=config.cross_tol,
-                                    max_rank=config.cross_max_rank, seed=seed)
+        res = normalize_and_certify(f, grid, seed=seed)
         meta.update(k_components=spec.k, rescales=res.rescales,
                     boundary_ratio=res.boundary_ratio,
                     cross_converged=bool(res.cross_info.converged),
@@ -188,8 +183,7 @@ def _pipeline(config: ExperimentConfig, index: int, n_samples: int) -> _Run:
     grid = config.grid()
     p0, meta, spec = _build_density(config, grid, _child_seed(config.seed, index, 0))
     t_gen = time.perf_counter()
-    traj = fpe_solve(p0, grid, config.m_steps, config.t_max,
-                     round_tol=config.round_tol, max_rank=config.solver_max_rank)
+    traj = fpe_solve(p0, grid, config.m_steps, config.t_max)
     t_solve = time.perf_counter()
     x0 = sample_tt(p0, grid, n_samples, _child_seed(config.seed, index, 1))
     res = flow_integrate(traj, x0)

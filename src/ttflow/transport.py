@@ -9,7 +9,6 @@ an optimal coupling.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -74,15 +73,6 @@ class TransportReport:
             "excluded": self.excluded,
             "timings": dict(self.timings),
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, path) -> "TransportReport":
-        with open(path) as fh:
-            return cls(**json.load(fh))
 
 
 def compare(x: np.ndarray, y: np.ndarray) -> TransportReport:

@@ -8,8 +8,6 @@ after construction.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .errors import InvalidShapeError, NumericalDomainError
@@ -257,39 +255,3 @@ def tt_extrema(t: TTTensor, rng: np.random.Generator, n_random: int = 4096,
         out[mode] = float(tt_eval(t, cur[None, :])[0])
     return min(out["min"], vals.min()), max(out["max"], vals.max())
 
-
-def save_tt(t: TTTensor, path) -> None:
-    """Write header-plus-raw-cores container; round-trips bit-exactly."""
-    meta = {"d": t.d, "mode_sizes": list(t.mode_sizes),
-            "ranks": list(t.ranks), "cores_offset": 0}
-    blob = b""
-    for _ in range(4):
-        blob = json.dumps(meta).encode()
-        off = len(blob) + 1
-        if meta["cores_offset"] == off:
-            break
-        meta["cores_offset"] = off
-    with open(path, "wb") as f:
-        f.write(blob + b"\n")
-        for c in t.cores:
-            f.write(np.ascontiguousarray(c, dtype="<f8").tobytes())
-
-
-def load_tt(path) -> TTTensor:
-    with open(path, "rb") as f:
-        data = f.read()
-    nl = data.index(b"\n")
-    meta = json.loads(data[:nl].decode())
-    off = meta["cores_offset"]
-    sizes = meta["mode_sizes"]
-    ranks = meta["ranks"]
-    if len(ranks) != meta["d"] + 1 or len(sizes) != meta["d"]:
-        raise InvalidShapeError("corrupt header")
-    cores = []
-    pos = off
-    for k in range(meta["d"]):
-        cnt = ranks[k] * sizes[k] * ranks[k + 1]
-        c = np.frombuffer(data, dtype="<f8", count=cnt, offset=pos)
-        cores.append(c.reshape(ranks[k], sizes[k], ranks[k + 1]).astype(np.float64))
-        pos += cnt * 8
-    return TTTensor(cores, copy=False)

@@ -170,8 +170,7 @@ def test_score_matches_log_density_differences():
     _, f = gen_quartic_mixture(2, seed=29)
     grid = ChebGrid.uniform(2, 96, -8.0, 8.0)
     res = normalize_and_certify(f, grid)
-    traj = DensityTrajectory(grid=grid, h=1.0, t_max=1.0,
-                             snapshots=[res.tensor, res.tensor])
+    traj = DensityTrajectory(grid=grid, h=1.0, snapshots=[res.tensor, res.tensor])
     rng = np.random.default_rng(9)
     x = rng.uniform(-2.0, 2.0, size=(10, 2))
     got = traj.score_at(0, x)
@@ -195,7 +194,7 @@ def test_score_floor_counts_hits():
     v0[10] = 0.0
     v1 = np.exp(-0.5 * grid.nodes(1) ** 2)
     p = TTTensor([v0.reshape(1, -1, 1), v1.reshape(1, -1, 1)])
-    traj = DensityTrajectory(grid=grid, h=1.0, t_max=1.0, snapshots=[p, p])
+    traj = DensityTrajectory(grid=grid, h=1.0, snapshots=[p, p])
     x0 = grid.nodes(0)[10]
     pts = np.array([[x0, grid.nodes(1)[12]], [x0, grid.nodes(1)[20]]])
     out = traj.score_at(0, pts)
@@ -203,19 +202,6 @@ def test_score_floor_counts_hits():
     assert traj.floor_hits == 2
     traj.score_at(0, np.array([[0.1, 0.2]]))
     assert traj.floor_hits == 2
-
-
-def test_trajectory_save_load_roundtrip(tmp_path):
-    grid = ChebGrid.uniform(2, 48, -8.0, 8.0)
-    p0 = _norm_tt(grid, [0.5, 0.0], [1.5, 0.7])
-    traj = fpe_solve(p0, grid, m_steps=4, t_max=1.0)
-    out = tmp_path / "traj"
-    traj.save(out)
-    back = DensityTrajectory.load(out)
-    assert back.h == traj.h and back.n_steps == traj.n_steps
-    assert back.masses == pytest.approx(traj.masses)
-    for a, b in zip(traj.snapshots, back.snapshots):
-        assert all(np.array_equal(ca, cb) for ca, cb in zip(a.cores, b.cores))
 
 
 def test_solver_validation():

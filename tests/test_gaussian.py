@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import sqrtm
 
 from ttflow.errors import InvalidShapeError
@@ -59,15 +60,23 @@ def test_stretch_values_and_monotonicity():
 
 
 def test_shift_against_closed_form():
-    # antiderivative of the shift integrand is exp(-s)/sqrt((lam-1)exp(-2s)+1)
-    # up to sign, which collapses the quadrature to exp(-t) - f(lam, t)
+    # the defining integral, by adaptive quadrature, against the closed form
     for lam in (0.25, 0.8, 1.0, 2.0, 9.0, 40.0):
         for t in (0.0, 0.3, 1.0, 5.0, 20.0):
-            closed = np.exp(-t) - float(eigen_stretch(lam, t))
-            assert abs(eigen_shift(lam, t) - closed) < 1e-10
+            integral, _ = quad(
+                lambda s: np.exp(-s) * (np.exp(-2 * s) * (lam - 1) + 1) ** -1.5,
+                0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
+            ref = -np.sqrt(lam) * float(eigen_stretch(lam, t)) * integral
+            assert abs(eigen_shift(lam, t) - ref) < 1e-10
     assert abs(eigen_shift(9.0, 20.0) + 1.0 / 3.0) <= 1e-8
     for t in (0.2, 1.5, 4.0):
         assert abs(eigen_shift(1.0, t) + (1 - np.exp(-t))) < 1e-12
+    # arrays map elementwise and keep their shape
+    lams = np.array([[0.5, 2.0], [4.0, 1.0]])
+    assert np.array_equal(eigen_shift(lams, 1.5),
+                          [[eigen_shift(v, 1.5) for v in row] for row in lams])
+    with pytest.raises(InvalidShapeError):
+        eigen_shift([1.0, 0.0], 1.0)
 
 
 def test_map_limits_and_identity_case():

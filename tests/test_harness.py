@@ -54,6 +54,11 @@ def test_config_precedence_and_unknown_fields():
         config_from_dict({"preset": "never-heard-of-it"})
     with pytest.raises(ConfigError):
         config_from_dict({"n_gird": 64, **TOY})
+    # solver and certification tolerances are module constants, not config
+    for removed in ({"cross_tol": 1e-8}, {"cross_max_rank": 30},
+                    {"round_tol": 1e-9}, {"solver_max_rank": 50}):
+        with pytest.raises(ConfigError):
+            config_from_dict({**removed, **TOY})
 
 
 def test_run_one_report_schema():

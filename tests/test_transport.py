@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ttflow.errors import DegenerateCostError, InvalidShapeError
-from ttflow.transport import TransportReport, compare, ot_assignment, paired_cost
+from ttflow.transport import compare, ot_assignment, paired_cost
 
 
 def _brute_force_cost(x, y):
@@ -88,16 +88,6 @@ def test_exclusion_of_nonfinite_rows():
     assert len(rep.assignment) == 8
     with pytest.raises(DegenerateCostError):
         compare(x, np.full_like(y, np.nan))
-
-
-def test_report_roundtrip(tmp_path):
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((12, 3))
-    rep = compare(x, x + 0.05)
-    path = tmp_path / "report.json"
-    rep.to_json(path)
-    back = TransportReport.from_json(path)
-    assert back.as_dict() == rep.as_dict()
 
 
 def test_shape_validation():

@@ -1,12 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 
 from ttflow.errors import InvalidShapeError, NumericalDomainError
-from ttflow.tt import (TTTensor, load_tt, save_tt, tt_add, tt_eval, tt_extrema,
-                       tt_from_dense, tt_hadamard, tt_integrate, tt_mode_apply,
-                       tt_round, tt_scale, tt_weighted_inner)
+from ttflow.tt import (TTTensor, tt_add, tt_eval, tt_extrema, tt_from_dense,
+                       tt_hadamard, tt_integrate, tt_mode_apply, tt_round,
+                       tt_scale, tt_weighted_inner)
 
 
 def _random_dense(rng, d):
@@ -129,33 +127,6 @@ def test_extrema_estimate_on_separable_tensor():
     lo, hi = tt_extrema(t, np.random.default_rng(0))
     assert hi == pytest.approx(a.max(), rel=1e-12)
     assert lo <= a.min() + 1e-12
-
-
-def test_serialization_bit_exact(tmp_path):
-    rng = np.random.default_rng(10)
-    a = _random_dense(rng, 3)
-    t = tt_from_dense(a, tol=1e-10)
-    path = tmp_path / "t.tt"
-    save_tt(t, path)
-    u = load_tt(path)
-    assert u.mode_sizes == t.mode_sizes
-    assert u.ranks == t.ranks
-    for ca, cb in zip(t.cores, u.cores):
-        assert ca.tobytes() == cb.tobytes()
-
-
-def test_serialization_header_fields(tmp_path):
-    t = tt_from_dense(np.ones((3, 4)))
-    path = tmp_path / "t.tt"
-    save_tt(t, path)
-    raw = path.read_bytes()
-    header = json.loads(raw[: raw.index(b"\n")].decode())
-    assert set(header) == {"d", "mode_sizes", "ranks", "cores_offset"}
-    assert header["d"] == 2
-    assert header["cores_offset"] == raw.index(b"\n") + 1
-    nbytes = sum(r * n * s * 8 for r, n, s in
-                 zip(header["ranks"][:-1], header["mode_sizes"], header["ranks"][1:]))
-    assert len(raw) == header["cores_offset"] + nbytes
 
 
 def test_constructor_validation():

@@ -70,16 +70,20 @@ def cc_weights(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
     return w[::-1] * (b - a) / 2.0
 
 
-def interp_matrix(n: int, a: float, b: float, pts: np.ndarray,
-                  outside: str = "error") -> np.ndarray:
-    """Rows of Lagrange-basis values at ``pts`` for the CGL grid of [a, b].
+def _barycentric_block(n: int, a: float, b: float, pts: np.ndarray,
+                       outside: str):
+    """Unnormalized barycentric rows at ``pts`` and their row sums.
 
-    ``outside`` controls points beyond [a, b]: "error" raises, "zero" gives an
-    all-zero row (used where clamping a decayed density to 0 is intended).
+    Row i holds C[i, j] = w_j / (pts_i - x_j) for the CGL nodes x of [a, b];
+    dividing it by its sum gives the Lagrange-basis values at pts_i (the
+    second barycentric form). A point within 1e-14 of a node, relative to the
+    box, gets that node's unit row. Only the two nodes bracketing a point can
+    be that close, so hits are found by ``searchsorted`` rather than by a
+    scan of the whole row. ``outside`` controls points beyond [a, b]: "error"
+    raises, "zero" gives an all-zero row whose sum is 0.
     """
     pts = np.atleast_1d(np.asarray(pts, dtype=np.float64))
-    x = cheb_nodes(n, a, b)
-    w = barycentric_weights(n)
+    x = _nodes_cached(n, a, b)
     inside = (pts >= a) & (pts <= b)
     if outside == "error":
         if not inside.all():
@@ -88,19 +92,30 @@ def interp_matrix(n: int, a: float, b: float, pts: np.ndarray,
     elif outside != "zero":
         raise ValueError(f"unknown outside mode {outside!r}")
 
-    diff = pts[:, None] - x[None, :]
-    hit = np.abs(diff) < 1e-14 * max(abs(a), abs(b), 1.0)
-    np.copyto(diff, 1.0, where=hit)
-    m = (w[None, :] / diff)
-    s = m.sum(axis=1, keepdims=True)
-    np.divide(m, s, out=m, where=s != 0)  # s underflows for far-outside points
-    exact = hit.any(axis=1)
-    if exact.any():
-        m[exact] = 0.0
-        rows, cols = np.nonzero(hit)
-        m[rows, cols] = 1.0
-    m[~inside] = 0.0
-    return m
+    right = np.clip(np.searchsorted(x, pts), 1, n - 1)
+    near = np.stack([right - 1, right])
+    tol = 1e-14 * max(abs(a), abs(b), 1.0)
+    which, rows = np.nonzero(np.abs(pts - x[near]) < tol)
+    cols = near[which, rows]
+    c = pts[:, None] - x
+    c[rows, cols] = 1.0  # no zero divisor; hit rows are replaced below
+    np.divide(barycentric_weights(n), c, out=c)
+    c[rows] = 0.0
+    c[rows, cols] = 1.0
+    c[~inside] = 0.0
+    return c, c.sum(axis=1)
+
+
+def interp_matrix(n: int, a: float, b: float, pts: np.ndarray,
+                  outside: str = "error") -> np.ndarray:
+    """Rows of Lagrange-basis values at ``pts`` for the CGL grid of [a, b].
+
+    ``outside`` controls points beyond [a, b]: "error" raises, "zero" gives an
+    all-zero row (used where clamping a decayed density to 0 is intended).
+    """
+    c, s = _barycentric_block(n, a, b, pts, outside)
+    np.divide(c, s[:, None], out=c, where=s[:, None] != 0)
+    return c
 
 
 @dataclass(frozen=True)
@@ -171,27 +186,43 @@ def _cc_cached(n, a, b):
     return w
 
 
+def value_grad_cores(tt, grid: ChebGrid) -> list:
+    """Per mode, the core unfolded to n x (r s) next to its derivative:
+    [G_k | D1 G_k], the right-hand side of ``interp_value_and_grad``."""
+    out = []
+    for k, core in enumerate(tt.cores):
+        r, n, s = core.shape
+        gk = core.transpose(1, 0, 2).reshape(n, r * s)
+        out.append(np.concatenate([gk, grid.diff1(k) @ gk], axis=1))
+    return out
+
+
 def interp_value_and_grad(tt, grid: ChebGrid, x: np.ndarray,
-                          outside: str = "error"):
+                          outside: str = "error", _cores=None):
     """Interpolant values and gradients at ``x`` (m, d): returns (m,), (m, d).
 
     Mode k contributes the factor W_k G_k per point, with W_k the
-    interpolation rows at x[:, k] and G_k the core unfolded to n x (r s). Its
-    derivative factor is W_k (D1 G_k): the core is differentiated once, at
-    n^2 r s cost, and reuses the value's rows instead of forming the m x n
-    product W_k D1. Prefix/suffix chain products are shared across modes.
+    interpolation rows at x[:, k] and G_k the core unfolded to n x (r s), and
+    the derivative factor W_k (D1 G_k). Both come from one product of the
+    unnormalized barycentric block C_k with [G_k | D1 G_k], each row then
+    divided by C_k's row sum, so W_k itself is never formed. ``_cores`` takes
+    ``value_grad_cores(tt, grid)`` from a caller that evaluates the same
+    tensor many times. Prefix/suffix chain products are shared across modes.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != grid.d:
         raise InvalidShapeError(f"points have {x.shape[1]} coords, grid is {grid.d}-d")
+    if _cores is None:
+        _cores = value_grad_cores(tt, grid)
     m, d = x.shape
     factors, dfactors = [], []
     for k, core in enumerate(tt.cores):
         r, n, s = core.shape
-        wk = grid.interp_rows(k, x[:, k], outside=outside)
-        gk = core.transpose(1, 0, 2).reshape(n, r * s)
-        factors.append((wk @ gk).reshape(m, r, s))
-        dfactors.append((wk @ (grid.diff1(k) @ gk)).reshape(m, r, s))
+        c, sums = _barycentric_block(n, grid.a, grid.b, x[:, k], outside)
+        both = c @ _cores[k]
+        both /= np.where(sums == 0.0, 1.0, sums)[:, None]  # zero rows stay 0
+        factors.append(both[:, :r * s].reshape(m, r, s))
+        dfactors.append(both[:, r * s:].reshape(m, r, s))
     prefix = [np.ones((m, 1))]
     for t in factors:
         prefix.append(np.einsum("pr,prs->ps", prefix[-1], t))

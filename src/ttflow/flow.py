@@ -20,7 +20,7 @@ from .errors import InvalidShapeError, SamplingError
 from .tt import TTTensor
 
 _FINE = 2048  # refined 1-d grid for inverse-CDF sampling
-_CHUNK = 2048  # samples processed per linear-algebra block
+_CHUNK = 128  # samples per block; bounds the (block, _FINE) temporaries
 
 
 @dataclass(frozen=True)
@@ -119,13 +119,14 @@ def _stage_score(provider, m: int, t: float, x: np.ndarray) -> np.ndarray:
 def flow_integrate(provider, x0: PointCloud) -> FlowResult:
     """Transport x0 along dx/dt = -[x + score(t, x)], one RK4 step per snapshot.
 
-    ``provider`` needs ``n_steps``, ``h``, ``score_at(m, x)`` and optionally
-    ``score_at_time(t, x)`` and a bounding ``box``. Stage states leaving the
-    box are clamped for evaluation (counted); points turning non-finite are
-    flagged and reported, their endpoint set to NaN.
+    ``provider`` needs ``n_steps``, ``h``, ``score_at(m, x)``, a bounding
+    ``box`` (None for an unbounded provider) and optionally
+    ``score_at_time(t, x)``. Stage states leaving the box are clamped for
+    evaluation (counted); points turning non-finite are flagged and reported,
+    their endpoint set to NaN.
     """
     m_steps, h = provider.n_steps, provider.h
-    box = getattr(provider, "box", None)
+    box = provider.box
     n, d = x0.n, x0.d
     x = x0.points.copy()
     alive = np.ones(n, dtype=bool)

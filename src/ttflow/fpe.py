@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .chebyshev import ChebGrid, interp_value_and_grad
+from .chebyshev import ChebGrid, interp_value_and_grad, value_grad_cores
 from .errors import ConfigError, InvalidShapeError, NumericalDomainError
 from .tt import (TTTensor, tt_extrema, tt_integrate, tt_mode_apply, tt_round,
                  tt_scale, tt_weighted_inner)
@@ -60,6 +60,15 @@ def _heat_apply(p: TTTensor, grid: ChebGrid, tau: float) -> TTTensor:
     return p
 
 
+@functools.lru_cache(maxsize=32)
+def _dilation_rows(n: int, a: float, b: float, h: float) -> np.ndarray:
+    """Interpolation rows at the scaled nodes e^h x of one mode."""
+    grid = ChebGrid((n,), a, b)
+    rows = grid.interp_rows(0, np.exp(h) * grid.nodes(0), outside="zero")
+    rows.flags.writeable = False
+    return rows
+
+
 def convection_step(p: TTTensor, grid: ChebGrid, h: float) -> TTTensor:
     """Exact characteristics of dp/dt = div(x p): p_new(x) = e^{dh} p(e^h x).
 
@@ -72,10 +81,8 @@ def convection_step(p: TTTensor, grid: ChebGrid, h: float) -> TTTensor:
         raise InvalidShapeError(f"negative step {h}")
     if h == 0:
         return p
-    s = np.exp(h)
     for k in range(grid.d):
-        rows = grid.interp_rows(k, s * grid.nodes(k), outside="zero")
-        p = tt_mode_apply(p, rows, k)
+        p = tt_mode_apply(p, _dilation_rows(grid.ns[k], grid.a, grid.b, h), k)
     return tt_scale(p, np.exp(grid.d * h))
 
 
@@ -91,6 +98,7 @@ class DensityTrajectory:
     warnings: list = field(default_factory=list)
     floor_hits: int = 0
     _peaks: dict = field(default_factory=dict, repr=False)
+    _cores: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_steps(self) -> int:
@@ -110,7 +118,14 @@ class DensityTrajectory:
         """grad log p_m at points x of shape (n, d), floored away from 0/0."""
         if not 0 <= m <= self.n_steps:
             raise InvalidShapeError(f"snapshot {m} outside 0..{self.n_steps}")
-        vals, grads = interp_value_and_grad(self.snapshots[m], self.grid, x)
+        cores = self._cores.get(m)
+        if cores is None:
+            # one flow step reads snapshots m and m+1 only, so two suffice
+            if len(self._cores) >= 2:
+                del self._cores[next(iter(self._cores))]
+            cores = self._cores[m] = value_grad_cores(self.snapshots[m], self.grid)
+        vals, grads = interp_value_and_grad(self.snapshots[m], self.grid, x,
+                                            _cores=cores)
         floor = 1e-12 * self._peak(m)
         low = vals < floor
         self.floor_hits += int(low.sum())

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from ttflow.chebyshev import (ChebGrid, cc_weights, cheb_nodes, diff_matrix,
-                              interp_matrix, interp_value_and_grad)
+from ttflow.chebyshev import (ChebGrid, barycentric_weights, cc_weights,
+                              cheb_nodes, diff_matrix, interp_matrix,
+                              interp_value_and_grad)
 from ttflow.errors import DomainBoundsError, InvalidShapeError
-from ttflow.tt import tt_from_dense
+from ttflow.fpe import DensityTrajectory, fpe_solve
+from ttflow.tt import tt_from_dense, tt_integrate, tt_scale
 
 
 def test_nodes_ascending_and_endpoints():
@@ -79,6 +81,106 @@ def test_interp_matrix_outside_modes():
     m = interp_matrix(9, -1.0, 1.0, np.array([1.5, 0.25]), outside="zero")
     assert np.all(m[0] == 0.0)
     assert m[1].sum() == pytest.approx(1.0, abs=1e-13)
+
+
+def _reference_interp_matrix(n, a, b, pts, outside="error"):
+    # textbook barycentric rows with a full m x n hit scan: the reference
+    # that the bracketing-node hit search must match bit for bit
+    pts = np.atleast_1d(np.asarray(pts, dtype=np.float64))
+    x = cheb_nodes(n, a, b)
+    w = barycentric_weights(n)
+    inside = (pts >= a) & (pts <= b)
+    if outside == "error" and not inside.all():
+        raise DomainBoundsError("outside")
+    diff = pts[:, None] - x[None, :]
+    hit = np.abs(diff) < 1e-14 * max(abs(a), abs(b), 1.0)
+    np.copyto(diff, 1.0, where=hit)
+    m = (w[None, :] / diff)
+    s = m.sum(axis=1, keepdims=True)
+    np.divide(m, s, out=m, where=s != 0)
+    exact = hit.any(axis=1)
+    if exact.any():
+        m[exact] = 0.0
+        rows, cols = np.nonzero(hit)
+        m[rows, cols] = 1.0
+    m[~inside] = 0.0
+    return m
+
+
+def _point_sets(n, a, b, rng):
+    """Random points, the CGL nodes, both ends and points within 1e-15 of a
+    node (all inside [a, b]), plus points beyond it."""
+    x = cheb_nodes(n, a, b)
+    near = np.concatenate([x[1:] - 1e-15, x[:-1] + 1e-15, x[1:-1] + 4e-15 * b])
+    return {"random": rng.uniform(a, b, 200), "nodes": x,
+            "ends": np.array([a, b, b, a]), "near": near,
+            "outside": np.concatenate([rng.uniform(a, b, 20),
+                                       [a - 1e-15, b + 1e-15, b + 1.0, 10 * a, 1e300]])}
+
+
+def test_interp_matrix_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for n, a, b in ((2, -1.0, 1.0), (9, -2.0, 2.0), (50, -8.0, 8.0), (250, -8.0, 8.0)):
+        for name, pts in _point_sets(n, a, b, rng).items():
+            mode = "zero" if name == "outside" else "error"
+            got = interp_matrix(n, a, b, pts, outside=mode)
+            assert np.array_equal(got, _reference_interp_matrix(n, a, b, pts, mode)), (n, name)
+
+
+def _explicit_value_and_grad(t, grid, x, outside):
+    # values from W_k G_k and gradients from the row products W_k D1, chained
+    # mode by mode without sharing prefixes
+    m, d = x.shape
+    vf, gf = [], []
+    for k, core in enumerate(t.cores):
+        w = interp_matrix(grid.ns[k], grid.a, grid.b, x[:, k], outside=outside)
+        vf.append(np.einsum("pj,rjs->prs", w, core))
+        gf.append(np.einsum("pj,rjs->prs", w @ grid.diff1(k), core))
+
+    def chain(fs):
+        out = np.ones((m, 1))
+        for f in fs:
+            out = np.einsum("pr,prs->ps", out, f)
+        return out[:, 0]
+
+    grads = [chain(vf[:k] + [gf[k]] + vf[k + 1:]) for k in range(d)]
+    return chain(vf), np.column_stack(grads)
+
+
+def test_fused_evaluator_matches_explicit_rows():
+    grid = ChebGrid.uniform(3, 20, -4.0, 4.0)
+    f = lambda x, y, z: np.exp(-(x**2 + y**2 + z**2) / 5) * (2 + np.sin(x * y - z))
+    t = _smooth_tt(grid, f, tol=1e-12)
+    assert min(t.ranks[1:-1]) > 1
+    rng = np.random.default_rng(23)
+    for name, pts in _point_sets(20, -4.0, 4.0, rng).items():
+        mode = "zero" if name == "outside" else "error"
+        x = np.column_stack([rng.permutation(pts) for _ in range(3)])
+        vals, grads = interp_value_and_grad(t, grid, x, outside=mode)
+        ref_vals, ref_grads = _explicit_value_and_grad(t, grid, x, mode)
+        assert np.abs(vals - ref_vals).max() <= 1e-13 * np.abs(ref_vals).max(), name
+        assert np.abs(grads - ref_grads).max() <= 1e-13 * np.abs(ref_grads).max(), name
+        if name == "outside":
+            assert np.all(vals[~(np.abs(x) <= 4.0).all(axis=1)] == 0.0)
+
+
+def test_score_cache_matches_fresh_evaluation():
+    # snapshot derivative cores are cached across calls; any call order must
+    # give exactly what an uncached evaluation gives
+    grid = ChebGrid.uniform(2, 24, -6.0, 6.0)
+    f = lambda x, y: np.exp(-(x**2 + y**2) / 3) * (1.5 + np.sin(x) * np.cos(y))
+    p0 = _smooth_tt(grid, f, tol=1e-12)
+    p0 = tt_scale(p0, 1.0 / tt_integrate(p0, [grid.quad_weights(k) for k in range(2)]))
+    traj = fpe_solve(p0, grid, m_steps=6, t_max=1.0)
+    x = np.random.default_rng(31).uniform(-3.0, 3.0, size=(30, 2))
+    for m in (0, 1, 1, 0, 2, 6, 3, 3, 5, 4, 6):
+        got = traj.score_at(m, x)
+        fresh = DensityTrajectory(grid=grid, h=traj.h, snapshots=traj.snapshots)
+        assert np.array_equal(got, fresh.score_at(m, x)), m
+        vals, grads = interp_value_and_grad(traj.snapshots[m], grid, x)
+        assert np.array_equal(got, grads / vals[:, None]), m
+        assert len(traj._cores) <= 2
+    assert traj.floor_hits == 0
 
 
 def _smooth_tt(grid, f, tol=0.0):

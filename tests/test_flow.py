@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ttflow import flow
 from ttflow.chebyshev import ChebGrid
 from ttflow.densities import diag_gaussian_tt, gen_quartic_mixture, normalize_and_certify
 from ttflow.errors import InvalidShapeError, SamplingError
@@ -72,6 +73,30 @@ def test_sampler_respects_correlations():
     assert np.corrcoef(x, y)[0, 1] > 0.8
     same_sign = np.mean(np.sign(x) == np.sign(y))
     assert same_sign > 0.95
+
+
+def test_sampler_blocks_do_not_change_samples(monkeypatch):
+    grid = ChebGrid.uniform(3, 24, -8.0, 8.0)
+    from ttflow.tt import tt_add
+
+    p = tt_scale(tt_add(_norm_tt(grid, [-1.0, 0.5, 0.0], [1.0, 2.0, 0.7]),
+                        _norm_tt(grid, [1.5, -1.0, 0.5], 0.6)), 0.5)
+    ref = sample_tt(p, grid, 300, seed=4)
+    monkeypatch.setattr(flow, "_CHUNK", 7)
+    assert np.array_equal(sample_tt(p, grid, 300, seed=4).points, ref.points)
+
+
+def test_flow_requires_provider_box():
+    # the clamping box is read by name; a provider without one is an error,
+    # not a silently unclamped flow
+    class NoBox:
+        n_steps, h = 2, 0.1
+
+        def score_at(self, m, x):
+            return -x
+
+    with pytest.raises(AttributeError):
+        flow_integrate(NoBox(), PointCloud(points=np.zeros((3, 2))))
 
 
 def test_flow_stationary_fixed_points():

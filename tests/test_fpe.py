@@ -5,9 +5,10 @@ from ttflow.chebyshev import ChebGrid, interp_value_and_grad
 from ttflow.cross import cross_approximate
 from ttflow.densities import diag_gaussian_tt, gen_quartic_mixture, normalize_and_certify
 from ttflow.errors import ConfigError, InvalidShapeError
-from ttflow.fpe import (DensityTrajectory, _heat_apply, convection_step,
-                        density_moments, fpe_solve, rel_l2_distance)
-from ttflow.tt import tt_extrema, tt_integrate, tt_scale
+from ttflow.fpe import (DensityTrajectory, _dilation_rows, _heat_apply,
+                        convection_step, density_moments, fpe_solve,
+                        rel_l2_distance)
+from ttflow.tt import tt_extrema, tt_integrate, tt_mode_apply, tt_scale
 
 
 def _norm_tt(grid, mean, var):
@@ -41,6 +42,12 @@ def test_convection_matches_characteristics():
     ref = diag_gaussian_tt(grid, 0.0, sigma2 * np.exp(-2 * h))
     assert rel_l2_distance(out, ref, grid) < 1e-10
     assert convection_step(p, grid, 0.0) is p
+    # the cached dilation rows are shared read-only and give exactly the
+    # rows interpolated at the scaled nodes
+    rows = grid.interp_rows(0, np.exp(h) * grid.nodes(0), outside="zero")
+    direct = tt_scale(tt_mode_apply(p, rows, 0), np.exp(h))
+    assert np.array_equal(out.cores[0], direct.cores[0])
+    assert not _dilation_rows(128, -8.0, 8.0, h).flags.writeable
     # divergence form conserves mass
     w = [grid.quad_weights(0)]
     assert abs(tt_integrate(out, w) - tt_integrate(p, w)) <= 1e-8

@@ -1,18 +1,18 @@
-"""Operator-splitting solver for dp/dt = div(x p) + lap(p) in TT format.
+"""Exact Ornstein-Uhlenbeck stepping of dp/dt = div(x p) + lap(p) in TT format.
 
-Each step composes a spectral diffusion half-step, an exact-characteristics
-convection step, and another diffusion half-step. Both sub-flows act mode by
-mode, so a step is a product of per-mode linear maps on the cores: ranks
-never grow and no cross-approximation is needed inside the solver.
+The transition kernel of the Ornstein-Uhlenbeck semigroup factorizes over
+coordinates, so one time step is one n_k x n_k matrix per mode: a heat
+propagator E, the dilation rows R that read the density at e^h x, another E,
+and the mass gain e^h of the dilation, S_k = e^h E R E. Ranks never grow and
+no cross-approximation is needed inside the solver.
 
-Each diffusion half-step lasts tanh(h)/2 rather than the textbook h/2. With
-that duration the blur-dilate-blur composition reproduces the transition
-kernel of the underlying Ornstein-Uhlenbeck semigroup exactly in continuous
-space: blurring by exp(tau lap) commutes past the dilation x -> exp(-h) x at
-the cost of the variance factor exp(-2h), and tau (1 + exp(-2h)) =
-(1 - exp(-2h))/2 pins the total added variance to the exact 1 - exp(-2h).
-The residual error is then purely spatial (spectral interpolation and
-rounding), not O(h^2).
+Each heat factor lasts tanh(h)/2 rather than the textbook h/2. With that
+duration the blur-dilate-blur composition reproduces the transition kernel
+exactly in continuous space: blurring by exp(tau lap) commutes past the
+dilation x -> exp(-h) x at the cost of the variance factor exp(-2h), and
+tau (1 + exp(-2h)) = (1 - exp(-2h))/2 pins the total added variance to the
+exact 1 - exp(-2h). The residual error is then purely spatial (spectral
+interpolation and rounding), not O(h^2).
 """
 
 from __future__ import annotations
@@ -23,16 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .chebyshev import ChebGrid, interp_value_and_grad, value_grad_cores
+from .chebyshev import (ChebGrid, diff_matrix, interp_value_and_grad,
+                        value_grad_cores)
 from .errors import ConfigError, InvalidShapeError, NumericalDomainError
-from .tt import (TTTensor, tt_extrema, tt_integrate, tt_mode_apply, tt_round,
-                 tt_scale, tt_weighted_inner)
+from .tt import (TTTensor, tt_add, tt_extrema, tt_integrate, tt_mode_apply,
+                 tt_round, tt_scale, tt_weighted_inner)
 
 ROUND_TOL = 1e-10  # relative Frobenius tolerance of the per-step rounding
-ROUND_MAX_RANK = 50  # rank cap of the per-step rounding
 
 
-@functools.lru_cache(maxsize=32)
 def _heat_propagator(n: int, a: float, b: float, tau: float) -> np.ndarray:
     """exp(tau * D2) with homogeneous Dirichlet walls.
 
@@ -41,8 +40,6 @@ def _heat_propagator(n: int, a: float, b: float, tau: float) -> np.ndarray:
     contraction (spectrum in [-pi^2/(b-a)^2 * k^2, 0)), so the boundary rows
     and columns are pinned to zero instead.
     """
-    from .chebyshev import diff_matrix
-
     d1 = diff_matrix(n, a, b)
     d2 = (d1 @ d1)[1:-1, 1:-1]
     e = np.zeros((n, n))
@@ -52,38 +49,20 @@ def _heat_propagator(n: int, a: float, b: float, tau: float) -> np.ndarray:
     return e
 
 
-def _heat_apply(p: TTTensor, grid: ChebGrid, tau: float) -> TTTensor:
-    """Heat semigroup exp(tau lap), applied along every mode."""
-    for k in range(grid.d):
-        e = _heat_propagator(grid.ns[k], grid.a, grid.b, tau)
-        p = tt_mode_apply(p, e, k)
-    return p
+def _dilation_rows(n: int, a: float, b: float, h: float) -> np.ndarray:
+    """Interpolation rows at the scaled nodes e^h x of one mode; nodes pushed
+    outside the box read 0 (the density is certified to have decayed there)."""
+    grid = ChebGrid((n,), a, b)
+    return grid.interp_rows(0, np.exp(h) * grid.nodes(0), outside="zero")
 
 
 @functools.lru_cache(maxsize=32)
-def _dilation_rows(n: int, a: float, b: float, h: float) -> np.ndarray:
-    """Interpolation rows at the scaled nodes e^h x of one mode."""
-    grid = ChebGrid((n,), a, b)
-    rows = grid.interp_rows(0, np.exp(h) * grid.nodes(0), outside="zero")
-    rows.flags.writeable = False
-    return rows
-
-
-def convection_step(p: TTTensor, grid: ChebGrid, h: float) -> TTTensor:
-    """Exact characteristics of dp/dt = div(x p): p_new(x) = e^{dh} p(e^h x).
-
-    The scaled nodes e^h x form a tensor-product set, so evaluating the TT
-    interpolant there factorizes into one interpolation matrix per mode;
-    nodes pushed outside the box read 0 (the density is certified to have
-    decayed there).
-    """
-    if h < 0:
-        raise InvalidShapeError(f"negative step {h}")
-    if h == 0:
-        return p
-    for k in range(grid.d):
-        p = tt_mode_apply(p, _dilation_rows(grid.ns[k], grid.a, grid.b, h), k)
-    return tt_scale(p, np.exp(grid.d * h))
+def _step_matrix(n: int, a: float, b: float, h: float) -> np.ndarray:
+    """One exact step of length h along one mode: e^h E R E, read-only."""
+    e = _heat_propagator(n, a, b, np.tanh(h) / 2.0)
+    step = np.exp(h) * (e @ _dilation_rows(n, a, b, h) @ e)
+    step.flags.writeable = False
+    return step
 
 
 @dataclass
@@ -95,7 +74,6 @@ class DensityTrajectory:
     snapshots: list
     masses: list = field(default_factory=list)
     ranks: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
     floor_hits: int = 0
     _peaks: dict = field(default_factory=dict, repr=False)
     _cores: dict = field(default_factory=dict, repr=False)
@@ -134,10 +112,11 @@ class DensityTrajectory:
 
 def fpe_solve(p0: TTTensor, grid: ChebGrid, m_steps: int,
               t_max: float) -> DensityTrajectory:
-    """March p0 to t_max in m_steps equal splitting steps.
+    """March p0 to t_max in m_steps equal exact steps.
 
-    Every step rounds to ``ROUND_TOL`` under the rank cap ``ROUND_MAX_RANK``
-    and renormalizes to unit mass; the pre-renormalization mass and
+    Every step applies the cached step matrix of each mode, rounds to
+    ``ROUND_TOL`` (which never raises a rank, so no snapshot outranks p0) and
+    renormalizes to unit mass; the pre-renormalization mass and
     post-rounding ranks are recorded per step.
     """
     if m_steps < 1 or t_max <= 0:
@@ -151,19 +130,16 @@ def fpe_solve(p0: TTTensor, grid: ChebGrid, m_steps: int,
         raise NumericalDomainError(f"initial mass {mass0} is not positive")
 
     h = t_max / m_steps
-    tau = np.tanh(h) / 2.0
+    steps = [_step_matrix(n, grid.a, grid.b, h) for n in grid.ns]
     traj = DensityTrajectory(grid=grid, h=h, snapshots=[tt_scale(p0, 1.0 / mass0)])
     traj.masses.append(mass0)
     traj.ranks.append(p0.ranks)
 
     p = traj.snapshots[0]
     for m in range(1, m_steps + 1):
-        p = _heat_apply(p, grid, tau)
-        p = convection_step(p, grid, h)
-        p = _heat_apply(p, grid, tau)
-        p = tt_round(p, ROUND_TOL, ROUND_MAX_RANK)
-        if max(p.ranks) >= ROUND_MAX_RANK:
-            traj.warnings.append(f"step {m}: rounding hit the rank cap {ROUND_MAX_RANK}")
+        for k, step in enumerate(steps):
+            p = tt_mode_apply(p, step, k)
+        p = tt_round(p, ROUND_TOL)
         mass = tt_integrate(p, weights)
         if not np.isfinite(mass) or mass <= 0:
             raise NumericalDomainError(f"mass {mass} at step {m} is not positive")
@@ -201,11 +177,15 @@ def density_moments(p: TTTensor, grid: ChebGrid):
 
 
 def rel_l2_distance(p: TTTensor, q: TTTensor, grid: ChebGrid) -> float:
-    """Relative L2 distance ||p - q|| / ||q|| under the grid quadrature."""
+    """Relative L2 distance ||p - q|| / ||q|| under the grid quadrature.
+
+    The difference is formed as a TT and orthogonalized before its norm is
+    taken, so p and q cancel entrywise rather than through pp - 2 pq + qq,
+    whose rounding floor is ~1e-8 relative.
+    """
     w = [grid.quad_weights(k) for k in range(grid.d)]
-    pp = tt_weighted_inner(p, p, w)
     qq = tt_weighted_inner(q, q, w)
-    pq = tt_weighted_inner(p, q, w)
     if qq <= 0:
         raise NumericalDomainError("reference density has nonpositive norm")
-    return float(np.sqrt(max(pp - 2 * pq + qq, 0.0)) / np.sqrt(qq))
+    diff = tt_round(tt_add(p, tt_scale(q, -1.0)), 0.0)
+    return float(np.sqrt(max(tt_weighted_inner(diff, diff, w), 0.0)) / np.sqrt(qq))

@@ -193,13 +193,15 @@ def _pipeline(config: ExperimentConfig, index: int, n_samples: int) -> _Run:
     return _Run(meta, spec, traj, x0, res, timings)
 
 
-def _max_gap(run: _Run, ref_map, *args) -> float:
-    """Largest endpoint distance from ``ref_map(spec, x0, *args)`` over
-    the paths that stayed finite."""
-    x1 = run.flow.x1.points
-    ok = np.isfinite(x1).all(axis=1)
-    ref = ref_map(run.spec, run.x0.points[ok], *args)
-    return float(np.linalg.norm(x1[ok] - ref, axis=1).max())
+def _finite_paths(run: _Run):
+    """Start and end points of the paths that stayed finite."""
+    ok = np.isfinite(run.flow.x1.points).all(axis=1)
+    return run.x0.points[ok], run.flow.x1.points[ok]
+
+
+def _max_gap(x: np.ndarray, y: np.ndarray) -> float:
+    """Largest row-wise distance between two point sets."""
+    return float(np.linalg.norm(x - y, axis=1).max())
 
 
 def run_one(config: ExperimentConfig, index: int) -> dict:
@@ -212,14 +214,16 @@ def run_one(config: ExperimentConfig, index: int) -> dict:
         index=index,
         density=run.meta,
         flow={"clamped_stages": run.flow.clamped, "failed_ids": run.flow.failed_ids,
-              "score_floor_hits": run.traj.floor_hits,
-              "solver_warnings": run.traj.warnings},
+              "score_floor_hits": run.traj.floor_hits},
+        solver={"rank_max": max(max(r) for r in run.traj.ranks),
+                "mass_loss_max": max(abs(1.0 - m) for m in run.traj.masses[1:])},
         config=config.as_dict(),
     )
     report["timings"].update(run.timings, compare_s=compare_s,
                              total_s=sum(run.timings.values()) + compare_s)
     if run.spec is not None:
-        report["map_discrepancy"] = _max_gap(run, finite_time_map, config.t_max)
+        x0, x1 = _finite_paths(run)
+        report["map_discrepancy"] = _max_gap(x1, finite_time_map(run.spec, x0, config.t_max))
     return report
 
 
@@ -248,6 +252,7 @@ def run_suite(config: ExperimentConfig) -> dict:
             reports.append(rep)
 
     eps = [r["epsilon_rel"] for r in reports]
+    solver = [r["solver"] for r in reports]
     times = [r["timings"]["total_s"] for r in reports]
     status = "ok" if len(failures) <= 0.1 * config.n_densities else "failed"
     summary = {
@@ -260,6 +265,8 @@ def run_suite(config: ExperimentConfig) -> dict:
         "epsilon_rel_min": min(eps) if eps else None,
         "epsilon_rel_median": float(np.median(eps)) if eps else None,
         "identity_fraction_min": min(r["identity_fraction"] for r in reports) if reports else None,
+        "solver": {key: max(s[key] for s in solver) if solver else None
+                   for key in ("rank_max", "mass_loss_max")},
         "timings": {"per_density_s": times, "suite_s": time.perf_counter() - t0},
     }
     if config.out:
@@ -278,7 +285,8 @@ def gaussian_check(config: ExperimentConfig, mean=None, var=None) -> dict:
 
     Reports the per-step relative L2 density error against the evolved
     moments and the endpoint discrepancies against the finite-time map and
-    the limiting whitening map.
+    the limiting whitening map, plus ``limit_gap``, the closed-form distance
+    between those two maps over the same start points.
     """
     cfg = replace(config, family="gaussian",
                   gaussian_mean=tuple(mean) if mean is not None else config.gaussian_mean,
@@ -295,15 +303,19 @@ def gaussian_check(config: ExperimentConfig, mean=None, var=None) -> dict:
         ref = tt_scale(ref, 1.0 / tt_integrate(ref, weights))
         l2.append(rel_l2_distance(traj.snapshots[m], ref, grid))
     rep = compare(run.x0.points, run.flow.x1.points)
+    x0, x1 = _finite_paths(run)
+    at_t_max = finite_time_map(run.spec, x0, cfg.t_max)
+    limit = encoder_map(run.spec, x0)
     return {
         "config": cfg.as_dict(),
         "mean": run.meta["mean"],
         "var": run.meta["var"],
         "l2_per_step": [float(v) for v in l2],
         "l2_max": float(max(l2)),
-        "map_discrepancy_finite": _max_gap(run, finite_time_map, cfg.t_max),
-        "map_discrepancy_limit": _max_gap(run, encoder_map),
+        "map_discrepancy_finite": _max_gap(x1, at_t_max),
+        "map_discrepancy_limit": _max_gap(x1, limit),
         "limit_bound": float(np.exp(-cfg.t_max) * np.abs(var_v - 1).max()),
+        "limit_gap": _max_gap(at_t_max, limit),
         "epsilon_rel": rep.epsilon_rel,
         "excluded": rep.excluded,
         "timings": run.timings,

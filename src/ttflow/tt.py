@@ -12,6 +12,9 @@ import numpy as np
 
 from .errors import InvalidShapeError, NumericalDomainError
 
+_EXTREMA_PROBES = 4096  # random entries probed by tt_extrema
+_EXTREMA_SWEEPS = 3  # alternating refinement sweeps of tt_extrema
+
 
 class TTTensor:
     __slots__ = ("cores",)
@@ -107,7 +110,7 @@ def tt_from_dense(a: np.ndarray, tol: float = 0.0, max_rank=None) -> TTTensor:
     return TTTensor(cores, copy=False)
 
 
-def tt_round(t: TTTensor, tol: float, max_rank=None) -> TTTensor:
+def tt_round(t: TTTensor, tol: float) -> TTTensor:
     """Re-truncate to relative accuracy ``tol``; never increases any rank."""
     d = t.d
     if d == 1:
@@ -125,8 +128,7 @@ def tt_round(t: TTTensor, tol: float, max_rank=None) -> TTTensor:
     for k in range(d - 1):
         r, n, s = cores[k].shape
         u, sv, vt = np.linalg.svd(cores[k].reshape(r * n, s), full_matrices=False)
-        rk = _chop(sv, budget, max_rank)
-        rk = min(rk, t.ranks[k + 1])
+        rk = min(_chop(sv, budget), t.ranks[k + 1])
         cores[k] = u[:, :rk].reshape(r, n, rk)
         cores[k + 1] = np.tensordot(sv[:rk, None] * vt[:rk], cores[k + 1],
                                     axes=([1], [0]))
@@ -231,18 +233,17 @@ def tt_weighted_inner(a: TTTensor, b: TTTensor, weights) -> float:
     return float(v[0, 0])
 
 
-def tt_extrema(t: TTTensor, rng: np.random.Generator, n_random: int = 4096,
-               n_sweeps: int = 3):
+def tt_extrema(t: TTTensor, rng: np.random.Generator):
     """Estimated (min, max) entry via random probing plus alternating refinement."""
     sizes = t.mode_sizes
-    idx = np.stack([rng.integers(0, n, size=n_random) for n in sizes], axis=1)
+    idx = np.stack([rng.integers(0, n, size=_EXTREMA_PROBES) for n in sizes], axis=1)
     vals = tt_eval(t, idx)
     best = {"min": idx[np.argmin(vals)].copy(), "max": idx[np.argmax(vals)].copy()}
     out = {}
     for mode, start in best.items():
         cur = start.copy()
         sign = -1.0 if mode == "min" else 1.0
-        for _ in range(n_sweeps):
+        for _ in range(_EXTREMA_SWEEPS):
             for k in range(t.d):
                 pre = np.ones(1)
                 for j in range(k):

@@ -82,9 +82,11 @@ def test_gaussian_check_command(tmp_path, capsys):
                  "--samples", "30", "--seed", "3", "--family", "gaussian",
                  "--mean", "0", "0", "--var", "1", "1", "--report", report])
     assert code == 0
-    assert "max per-step relative L2 error" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "max per-step relative L2 error" in out
     with open(report) as fh:
         rep = json.load(fh)
+    assert f"closed-form gap {rep['limit_gap']:.3e}" in out
     assert rep["l2_max"] <= 1e-6
     assert rep["map_discrepancy_finite"] <= 1e-6
 

@@ -5,8 +5,8 @@ from ttflow.chebyshev import ChebGrid, interp_value_and_grad
 from ttflow.cross import cross_approximate
 from ttflow.densities import diag_gaussian_tt, gen_quartic_mixture, normalize_and_certify
 from ttflow.errors import ConfigError, InvalidShapeError
-from ttflow.fpe import (DensityTrajectory, _dilation_rows, _heat_apply,
-                        convection_step, density_moments, fpe_solve,
+from ttflow.fpe import (DensityTrajectory, _dilation_rows, _heat_propagator,
+                        _step_matrix, density_moments, fpe_solve,
                         rel_l2_distance)
 from ttflow.tt import tt_extrema, tt_integrate, tt_mode_apply, tt_scale
 
@@ -17,10 +17,22 @@ def _norm_tt(grid, mean, var):
     return tt_scale(t, 1.0 / mass)
 
 
+def _per_mode(p, grid, factor, *args):
+    """Apply ``factor(n_k, a, b, *args)`` along every mode of p."""
+    for k in range(grid.d):
+        p = tt_mode_apply(p, factor(grid.ns[k], grid.a, grid.b, *args), k)
+    return p
+
+
+def _dilate(p, grid, h):
+    """Exact characteristics of dp/dt = div(x p): p_new(x) = e^{dh} p(e^h x)."""
+    return tt_scale(_per_mode(p, grid, _dilation_rows, h), np.exp(grid.d * h))
+
+
 def test_diffusion_keeps_ranks():
     grid = ChebGrid.uniform(2, 48, -8.0, 8.0)
     p = diag_gaussian_tt(grid, 0.0, 1.0)
-    out = _heat_apply(p, grid, 0.05)
+    out = _per_mode(p, grid, _heat_propagator, 0.05)
     assert out.ranks == p.ranks
 
 
@@ -28,7 +40,7 @@ def test_diffusion_matches_heat_kernel():
     # unit-coefficient Laplacian: variance grows by 2*tau
     grid = ChebGrid((128,), -8.0, 8.0)
     p = diag_gaussian_tt(grid, 0.0, 1.0)
-    out = _heat_apply(p, grid, 0.1)
+    out = _per_mode(p, grid, _heat_propagator, 0.1)
     ref = diag_gaussian_tt(grid, 0.0, 1.2)
     assert rel_l2_distance(out, ref, grid) < 1e-6
 
@@ -38,16 +50,13 @@ def test_convection_matches_characteristics():
     sigma2 = 1.5
     p = diag_gaussian_tt(grid, 0.0, sigma2)
     h = 0.3
-    out = convection_step(p, grid, h)
+    out = _dilate(p, grid, h)
     ref = diag_gaussian_tt(grid, 0.0, sigma2 * np.exp(-2 * h))
-    assert rel_l2_distance(out, ref, grid) < 1e-10
-    assert convection_step(p, grid, 0.0) is p
-    # the cached dilation rows are shared read-only and give exactly the
-    # rows interpolated at the scaled nodes
+    # the interpolation error here is 1.13e-10 (dense quadrature)
+    assert rel_l2_distance(out, ref, grid) < 2e-10
+    # the dilation rows are exactly the rows interpolated at the scaled nodes
     rows = grid.interp_rows(0, np.exp(h) * grid.nodes(0), outside="zero")
-    direct = tt_scale(tt_mode_apply(p, rows, 0), np.exp(h))
-    assert np.array_equal(out.cores[0], direct.cores[0])
-    assert not _dilation_rows(128, -8.0, 8.0, h).flags.writeable
+    assert np.array_equal(_dilation_rows(128, -8.0, 8.0, h), rows)
     # divergence form conserves mass
     w = [grid.quad_weights(0)]
     assert abs(tt_integrate(out, w) - tt_integrate(p, w)) <= 1e-8
@@ -59,7 +68,7 @@ def test_convection_agrees_with_cross_realization():
     grid = ChebGrid.uniform(2, 48, -8.0, 8.0)
     p = _norm_tt(grid, [1.0, -0.5], [2.0, 0.8])
     h = 0.1
-    direct = convection_step(p, grid, h)
+    direct = _dilate(p, grid, h)
 
     scale = np.exp(h)
     gain = np.exp(grid.d * h)
@@ -73,6 +82,51 @@ def test_convection_agrees_with_cross_realization():
     assert res.converged
     err = rel_l2_distance(res.tensor, direct, grid)
     assert err < 1e-9
+
+
+def test_step_matrix_is_the_cached_heat_dilate_heat_composition():
+    n, a, b, h = 40, -8.0, 8.0, 0.2
+    step = _step_matrix(n, a, b, h)
+    heat = _heat_propagator(n, a, b, np.tanh(h) / 2.0)
+    assert np.array_equal(step, np.exp(h) * (heat @ _dilation_rows(n, a, b, h) @ heat))
+    assert not step.flags.writeable
+    assert _step_matrix(n, a, b, h) is step
+
+
+def test_solve_applies_one_matrix_per_mode_per_step(monkeypatch):
+    import ttflow.fpe as fpe
+
+    calls = []
+
+    def counting(t, m, k):
+        calls.append(k)
+        return tt_mode_apply(t, m, k)
+
+    monkeypatch.setattr(fpe, "tt_mode_apply", counting)
+    grid = ChebGrid.uniform(3, 16, -8.0, 8.0)
+    fpe_solve(_norm_tt(grid, 0.0, 1.0), grid, m_steps=5, t_max=1.0)
+    assert calls == [0, 1, 2] * 5
+
+
+def test_snapshot_ranks_never_grow():
+    # exact per-mode steps keep ranks and rounding never raises one, so no
+    # snapshot outranks its predecessor
+    seed = next(s for s in range(100) if gen_quartic_mixture(2, s)[0].k == 5)
+    _, f = gen_quartic_mixture(2, seed)
+    grid = ChebGrid.uniform(2, 48, -8.0, 8.0)
+    traj = fpe_solve(normalize_and_certify(f, grid).tensor, grid, m_steps=12,
+                     t_max=5.0)
+    assert max(traj.ranks[0]) > 1
+    for prev, cur in zip(traj.ranks, traj.ranks[1:]):
+        assert all(c <= q for c, q in zip(cur, prev))
+
+
+def test_rel_l2_distance_resolves_tiny_differences():
+    # pp - 2pq + qq would floor near 1e-8; the rounded difference does not
+    grid = ChebGrid.uniform(2, 64, -8.0, 8.0)
+    p = _norm_tt(grid, [0.5, -0.3], [1.2, 0.8])
+    for e in (1e-6, 1e-9, 1e-12):
+        assert abs(rel_l2_distance(tt_scale(p, 1 + e), p, grid) - e) <= 1e-3 * e
 
 
 def test_stationary_standard_normal():

@@ -64,8 +64,11 @@ def test_config_precedence_and_unknown_fields():
 def test_run_one_report_schema():
     rep = run_one(ExperimentConfig(**TOY), 1)
     for key in ("epsilon_rel", "cost_ot", "cost_encoder", "identity_fraction",
-                "excluded", "index", "density", "flow", "config", "timings"):
+                "excluded", "index", "density", "flow", "solver", "config", "timings"):
         assert key in rep
+    # the solver never raises a rank, so the worst one is the initial one
+    assert rep["solver"]["rank_max"] == max(rep["density"]["ranks"])
+    assert 0.0 <= rep["solver"]["mass_loss_max"] < 1e-3
     assert rep["index"] == 1
     assert rep["epsilon_rel"] >= -1e-12
     assert rep["config"] == ExperimentConfig(**TOY).as_dict()
@@ -83,15 +86,18 @@ def test_run_suite_reports_and_summary(tmp_path):
     names = sorted(os.listdir(out))
     assert names == ["density_0000.json", "density_0001.json",
                      "density_0002.json", "summary.json"]
-    eps = []
+    eps, solver = [], []
     for i in range(3):
         with open(os.path.join(out, f"density_{i:04d}.json")) as fh:
             rep = json.load(fh)
         assert rep["index"] == i
         assert rep["config"]["n_grid"] == TOY["n_grid"]
         eps.append(rep["epsilon_rel"])
+        solver.append(rep["solver"])
     assert summary["epsilon_rel_max"] == max(eps)
     assert summary["epsilon_rel_median"] == float(np.median(eps))
+    for key in ("rank_max", "mass_loss_max"):
+        assert summary["solver"][key] == max(r[key] for r in solver)
 
 
 def test_run_suite_reproducible_excluding_timings(tmp_path):
@@ -118,7 +124,8 @@ def test_run_suite_failure_budget(monkeypatch):
             if index in fail_at:
                 raise RuntimeError("boom")
             return {"epsilon_rel": 0.0, "identity_fraction": 1.0,
-                    "excluded": 0, "index": index, "timings": {"total_s": 0.0}}
+                    "excluded": 0, "index": index, "timings": {"total_s": 0.0},
+                    "solver": {"rank_max": 1, "mass_loss_max": 0.0}}
         return fake
 
     cfg = ExperimentConfig(**dict(TOY, n_densities=10))
@@ -165,6 +172,17 @@ def test_gaussian_check_anisotropic():
     assert rep["map_discrepancy_finite"] <= 1e-4
     assert rep["map_discrepancy_limit"] <= rep["limit_bound"] + 1e-3
     assert rep["l2_max"] <= 1e-6
+
+
+def test_gaussian_check_limit_gap():
+    # the closed-form gap between the finite-time and limiting maps is what
+    # limit_bound leaves out once the mean is off zero
+    cfg = ExperimentConfig(d=2, n_grid=64, m_steps=64, family="gaussian",
+                           n_samples=60, n_densities=1, seed=4)
+    rep = gaussian_check(cfg, mean=(0.90, -0.94), var=(1.62, 1.91))
+    assert rep["map_discrepancy_limit"] <= (rep["map_discrepancy_finite"]
+                                            + rep["limit_gap"]) * (1 + 1e-12)
+    assert rep["limit_gap"] > rep["limit_bound"]
 
 
 def test_gaussian_family_suite_run():
@@ -252,6 +270,7 @@ def test_aggregate_table_all_densities_failed(monkeypatch, tmp_path):
     out = str(tmp_path / "failed")
     s = run_suite(ExperimentConfig(**dict(TOY, n_densities=2), out=out))
     assert s["status"] == "failed" and s["epsilon_rel_max"] is None
+    assert s["solver"] == {"rank_max": None, "mass_loss_max": None}
     table = aggregate_table([os.path.join(out, "summary.json")])
     assert table.splitlines()[2] == (
         "| 2 | 32 | 8 | quartic-mixture | 0 | 25 | n/a | n/a | n/a |")

@@ -4,7 +4,8 @@ The function is queried on structured fiber sets chosen by alternating
 maxvol pivoting; ranks start small and grow one at a time until the relative
 error on a held-out random index set drops below the target or a rank cap is
 hit. The black box maps an (m, d) integer index array to m values and must be
-deterministic.
+deterministic: within one call of ``cross_approximate`` each distinct index is
+evaluated once, and repeats are answered from the values already seen.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class CrossResult:
     converged: bool
     rank_capped: bool
     val_error: float
-    n_evals: int
+    n_evals: int  # distinct indices sent to the black box, each evaluated once
     sweeps: int
     max_rank_reached: int
 
@@ -128,11 +129,29 @@ def cross_approximate(f, mode_sizes, tol: float, max_rank: int = 30,
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     evals = 0
+    # values seen so far, keyed by flat grid index (so the grid must have
+    # fewer than 2**63 nodes) and sorted by key
+    keys = np.empty(0, dtype=np.int64)
+    vals = np.empty(0)
 
     def call(idx):
-        nonlocal evals
-        evals += idx.shape[0]
-        return _checked_eval(f, idx)
+        nonlocal evals, keys, vals
+        flat = np.ravel_multi_index(tuple(idx.T), sizes)
+        pos = np.searchsorted(keys, flat)
+        hit = pos < keys.size
+        hit[hit] = keys[pos[hit]] == flat[hit]
+        out = np.empty(flat.size)
+        out[hit] = vals[pos[hit]]
+        if not hit.all():
+            miss = ~hit
+            new, first, inverse = np.unique(flat[miss], return_index=True,
+                                            return_inverse=True)
+            fresh = _checked_eval(f, idx[miss][first])
+            evals += new.size
+            out[miss] = fresh[inverse]
+            at = np.searchsorted(keys, new)
+            keys, vals = np.insert(keys, at, new), np.insert(vals, at, fresh)
+        return out
 
     val_idx = np.stack([rng.integers(0, n, size=validation_size) for n in sizes],
                        axis=1)

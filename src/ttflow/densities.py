@@ -51,10 +51,12 @@ class QuarticComponent:
 
     def exponent(self, x: np.ndarray) -> np.ndarray:
         """q1(x) + q2(x) for points of shape (m, d)."""
-        c1 = x - self.a1
-        c2 = (x - self.a2) ** 2
-        return (np.einsum("md,de,me->m", c1, self.q1, c1)
-                + np.einsum("md,de,me->m", c2, self.q2, c2))
+        # one centered block alive at a time keeps the temporaries no larger
+        # than a three-operand einsum's
+        c = x - self.a1
+        q = ((c @ self.q1) * c).sum(axis=1)
+        c = (x - self.a2) ** 2
+        return q + ((c @ self.q2) * c).sum(axis=1)
 
 
 @dataclass(frozen=True)

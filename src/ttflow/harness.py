@@ -143,6 +143,8 @@ def _build_density(config: ExperimentConfig, grid: ChebGrid, seed: int):
                     boundary_ratio=res.boundary_ratio,
                     cross_converged=bool(res.cross_info.converged),
                     cross_error=res.cross_info.val_error,
+                    cross_evals=res.cross_info.n_evals,
+                    cross_sweeps=res.cross_info.sweeps,
                     ranks=list(res.tensor.ranks))
         return res.tensor, meta, None
     if config.family == "tt-random":
@@ -369,17 +371,21 @@ def aggregate_table(summary_paths, out_csv=None) -> str:
             "epsilon_rel_max": s["epsilon_rel_max"],
             "epsilon_rel_median": s["epsilon_rel_median"],
             "mean_time_s": float(np.mean(times)) if times else None,
+            "rank_max": s["solver"]["rank_max"],
+            "mass_loss_max": s["solver"]["mass_loss_max"],
         })
     rows.sort(key=lambda r: r["d"])
     header = ("| d | Spatial grid | Temporal grid | Family | Densities | "
-              "Samples | max eps_rel | median eps_rel | mean time (s) |")
-    sep = "|" + "---|" * 9
+              "Samples | max eps_rel | median eps_rel | mean time (s) | "
+              "max rank | max mass loss |")
+    sep = "|" + "---|" * 11
     lines = [header, sep]
     for r in rows:
         lines.append(
             f"| {r['d']} | {r['n_grid']} | {r['m_steps']} | {r['family']} | "
             f"{r['n_densities']} | {r['n_samples']} | {_fmt(r['epsilon_rel_max'], '.3e')} | "
-            f"{_fmt(r['epsilon_rel_median'], '.3e')} | {_fmt(r['mean_time_s'], '.2f')} |")
+            f"{_fmt(r['epsilon_rel_median'], '.3e')} | {_fmt(r['mean_time_s'], '.2f')} | "
+            f"{_fmt(r['rank_max'], 'd')} | {_fmt(r['mass_loss_max'], '.3e')} |")
     table = "\n".join(lines)
     if out_csv:
         import csv as _csv

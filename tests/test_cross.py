@@ -85,6 +85,38 @@ def test_cross_rejects_non_finite_values():
     assert exc.value.index == (2, 3)
 
 
+def test_cross_evaluates_each_index_once():
+    # a smooth 3-d target needs several sweeps, each revisiting earlier fibers
+    dense = np.fromfunction(lambda i, j, k: np.exp(-0.1 * (i - 5) ** 2 - 0.05 * (j - 4) ** 2
+                                                   - 0.02 * (i - k) ** 2), (12, 10, 11))
+    seen = []
+
+    def f(idx):
+        seen.append(np.ravel_multi_index(tuple(idx.T), dense.shape))
+        return dense[idx[:, 0], idx[:, 1], idx[:, 2]]
+
+    res = cross_approximate(f, dense.shape, tol=1e-10, max_rank=10,
+                            rng=np.random.default_rng(12))
+    assert res.sweeps > 1 and len(seen) > 1
+    flat = np.concatenate(seen)
+    assert np.unique(flat).size == flat.size
+    assert res.n_evals == flat.size
+    err = np.linalg.norm(res.tensor.full() - dense) / np.linalg.norm(dense)
+    assert err <= 1e-8
+
+
+def test_cross_evals_bounded_by_grid_size():
+    # 2000 validation draws and every sweep land on only 36 distinct nodes
+    dense = np.fromfunction(lambda i, j: 1.0 / (1.0 + i + j), (6, 6))
+
+    def f(idx):
+        return dense[idx[:, 0], idx[:, 1]]
+
+    res = cross_approximate(f, (6, 6), tol=1e-8, rng=np.random.default_rng(8),
+                            validation_size=2000)
+    assert 0 < res.n_evals <= 36
+
+
 def test_cross_deterministic_given_seed():
     dense = np.fromfunction(lambda i, j, k: np.sin(i + 1) * np.cos(j) + 0.1 * k,
                             (8, 9, 7))

@@ -46,6 +46,17 @@ def test_mixture_formula_against_direct_evaluation():
     assert np.allclose(f(x), direct, rtol=1e-6)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_exponent_matches_einsum_form(d):
+    spec, _ = gen_quartic_mixture(d, seed=40 + d)
+    x = np.random.default_rng(d).uniform(-8, 8, size=(500, d))
+    for c in spec.components:
+        c1, c2 = x - c.a1, (x - c.a2) ** 2
+        ref = (np.einsum("md,de,me->m", c1, c.q1, c1)
+               + np.einsum("md,de,me->m", c2, c.q2, c2))
+        assert np.abs(c.exponent(x) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_mixture_positivity_and_determinism():
     spec_a, f = gen_quartic_mixture(3, seed=7)
     spec_b, _ = gen_quartic_mixture(3, seed=7)

@@ -74,6 +74,9 @@ def test_run_one_report_schema():
     assert rep["config"] == ExperimentConfig(**TOY).as_dict()
     assert rep["density"]["family"] == "quartic-mixture"
     assert rep["density"]["cross_converged"]
+    # every cross evaluation is a distinct grid node
+    assert 0 < rep["density"]["cross_evals"] <= TOY["n_grid"] ** TOY["d"]
+    assert rep["density"]["cross_sweeps"] >= 1
     assert rep["timings"]["total_s"] > 0
 
 
@@ -258,6 +261,10 @@ def test_aggregate_table(tmp_path):
     with open(csv_out) as fh:
         rows = fh.read().splitlines()
     assert len(rows) == 3 and rows[0].startswith("d,n_grid,m_steps")
+    assert rows[0].endswith(",rank_max,mass_loss_max")
+    with open(paths[1]) as fh:
+        solver = json.load(fh)["solver"]
+    assert lines[2].endswith(f"| {solver['rank_max']} | {solver['mass_loss_max']:.3e} |")
 
 
 def test_aggregate_table_all_densities_failed(monkeypatch, tmp_path):
@@ -273,4 +280,4 @@ def test_aggregate_table_all_densities_failed(monkeypatch, tmp_path):
     assert s["solver"] == {"rank_max": None, "mass_loss_max": None}
     table = aggregate_table([os.path.join(out, "summary.json")])
     assert table.splitlines()[2] == (
-        "| 2 | 32 | 8 | quartic-mixture | 0 | 25 | n/a | n/a | n/a |")
+        "| 2 | 32 | 8 | quartic-mixture | 0 | 25 | n/a | n/a | n/a | n/a | n/a |")

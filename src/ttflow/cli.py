@@ -79,7 +79,8 @@ def _cmd_gaussian_check(args) -> int:
     print(f"max per-step relative L2 error: {rep['l2_max']:.3e}")
     print(f"endpoint vs finite-time map:    {rep['map_discrepancy_finite']:.3e}")
     print(f"endpoint vs limiting map:       {rep['map_discrepancy_limit']:.3e}"
-          f" (bound {rep['limit_bound']:.3e}, closed-form gap {rep['limit_gap']:.3e})")
+          f" (bound {rep['limit_bound']:.3e}, closed-form gap {rep['limit_gap']:.3e},"
+          f" wall ratio {rep['boundary_ratio']:.3e})")
     print(f"eps_rel: {rep['epsilon_rel']:.3e}")
     if args.report:
         with open(args.report, "w") as fh:

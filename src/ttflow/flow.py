@@ -1,10 +1,11 @@
 """Sampling from TT densities and probability-flow transport of the samples.
 
-The flow ODE is dx/dt = -[x + grad log p_t(x)]. Between stored density
-snapshots the integrator takes one classical RK4 step; the two midpoint
-stages read the average of the bracketing snapshot scores unless the score
-provider can evaluate at arbitrary times (``score_at_time``), in which case
-true stage times are used.
+The flow ODE is dx/dt = -[x + grad log p_t(x)]. The integrator takes one
+classical RK4 step of size 2h per pair of snapshot intervals: step j reads
+snapshot 2j for its first stage, snapshot 2j+1 for both midpoint stages and
+snapshot 2j+2 for its last. Every snapshot is exact in time (see ``fpe``),
+so each stage reads the score at its own time and the scheme keeps RK4's
+fourth order, at one score evaluation per stage.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chebyshev import ChebGrid
-from .errors import InvalidShapeError, SamplingError
+from .errors import ConfigError, InvalidShapeError, SamplingError
 from .tt import TTTensor
 
 _FINE = 2048  # refined 1-d grid for inverse-CDF sampling
@@ -50,7 +51,7 @@ class PointCloud:
 
 class FlowResult(NamedTuple):
     x1: PointCloud
-    states: np.ndarray  # (M+1, n, d): row m holds every point at times[m]
+    states: np.ndarray  # (M/2+1, n, d): row j holds every point at times[j]
     times: np.ndarray
     clamped: int
     failed_ids: list
@@ -110,71 +111,69 @@ def sample_tt(p: TTTensor, grid: ChebGrid, n: int, seed: int) -> PointCloud:
     return PointCloud(points=out)
 
 
-def _stage_score(provider, m: int, t: float, x: np.ndarray) -> np.ndarray:
-    if hasattr(provider, "score_at_time"):
-        return provider.score_at_time(t, x)
-    return 0.5 * (provider.score_at(m, x) + provider.score_at(m + 1, x))
-
-
 def flow_integrate(provider, x0: PointCloud) -> FlowResult:
-    """Transport x0 along dx/dt = -[x + score(t, x)], one RK4 step per snapshot.
+    """Transport x0 along dx/dt = -[x + score(t, x)], one RK4 step of size 2h
+    per snapshot pair.
 
-    ``provider`` needs ``n_steps``, ``h``, ``score_at(m, x)``, a bounding
-    ``box`` (None for an unbounded provider) and optionally
-    ``score_at_time(t, x)``. Stage states leaving the box are clamped for
-    evaluation (counted); points turning non-finite are flagged and reported,
-    their endpoint set to NaN.
+    ``provider`` needs an even ``n_steps``, ``h``, ``score_at(m, x)`` (the
+    score at time m h) and a bounding ``box`` (None for an unbounded
+    provider). Stage states leaving the box are clamped for evaluation
+    (counted); points turning non-finite are flagged and reported, their
+    endpoint set to NaN. States are kept at the even snapshots.
     """
     m_steps, h = provider.n_steps, provider.h
+    if m_steps % 2:
+        raise ConfigError(f"the flow steps over snapshot pairs and needs an even "
+                          f"number of steps, got {m_steps}")
     box = provider.box
     n, d = x0.n, x0.d
     x = x0.points.copy()
     alive = np.ones(n, dtype=bool)
     clamped = 0
-    states = np.empty((m_steps + 1, n, d))
+    states = np.empty((m_steps // 2 + 1, n, d))
     states[0] = x
 
-    def eval_v(score_fn, xs):
+    def eval_v(m, xs):
         nonlocal clamped
         if box is not None:
             xc = np.clip(xs, box[0], box[1])
             clamped += int((xc != xs).any(axis=1).sum())
         else:
             xc = xs
-        return -(xc + score_fn(xc))
+        return -(xc + provider.score_at(m, xc))
 
-    for m in range(m_steps):
+    for j in range(m_steps // 2):
+        m = 2 * j
         xa = x[alive]
-        t_mid = (m + 0.5) * h
-        k1 = eval_v(lambda z: provider.score_at(m, z), xa)
-        k2 = eval_v(lambda z: _stage_score(provider, m, t_mid, z), xa + 0.5 * h * k1)
-        k3 = eval_v(lambda z: _stage_score(provider, m, t_mid, z), xa + 0.5 * h * k2)
-        k4 = eval_v(lambda z: provider.score_at(m + 1, z), xa + h * k3)
-        xa = xa + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = eval_v(m, xa)
+        k2 = eval_v(m + 1, xa + h * k1)
+        k3 = eval_v(m + 1, xa + h * k2)
+        k4 = eval_v(m + 2, xa + 2 * h * k3)
+        xa = xa + (h / 3.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         ok = np.isfinite(xa).all(axis=1)
         full = np.where(alive)[0]
         x[full[ok]] = xa[ok]
         x[full[~ok]] = np.nan
         alive[full[~ok]] = False
-        states[m + 1] = x
+        states[j + 1] = x
 
     failed = [int(i) for i in x0.ids[~alive]]
     x1 = PointCloud(points=x, ids=x0.ids.copy())
-    return FlowResult(x1=x1, states=states, times=np.arange(m_steps + 1) * h,
+    return FlowResult(x1=x1, states=states, times=np.arange(0, m_steps + 1, 2) * h,
                       clamped=clamped, failed_ids=failed)
 
 
 def straightness_diagnostic(states: np.ndarray, chord_floor: float = 0.0) -> np.ndarray:
     """Max perpendicular deviation from the start-end chord, per unit chord.
 
-    ``states`` is a (M+1, n, d) path array such as ``FlowResult.states``; the
+    ``states`` is a (T, n, d) path array such as ``FlowResult.states``; the
     result has one entry per path. 0 for perfectly straight (or stationary)
     paths. Chords no longer than chord_floor count as stationary: the ratio
     on a path whose whole extent is numerical noise measures nothing but
     that noise.
     """
     if states.ndim != 3 or states.shape[1] == 0:
-        raise InvalidShapeError(f"need a (M+1, n, d) path array with n >= 1, "
+        raise InvalidShapeError(f"need a (T, n, d) path array with n >= 1, "
                                 f"got shape {states.shape}")
     out = np.empty(states.shape[1])
     for i in range(states.shape[1]):
@@ -195,7 +194,7 @@ def straightness_diagnostic(states: np.ndarray, chord_floor: float = 0.0) -> np.
 
 
 def paths_to_csv(states: np.ndarray, times, ids, path) -> None:
-    """Write a (M+1, n, d) path array as rows id,t,x_1..x_d (long format).
+    """Write a (T, n, d) path array as rows id,t,x_1..x_d (long format).
 
     Path i is labelled ``ids[i]``; rows run path by path, time by time.
     """

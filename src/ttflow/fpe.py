@@ -98,7 +98,8 @@ class DensityTrajectory:
             raise InvalidShapeError(f"snapshot {m} outside 0..{self.n_steps}")
         cores = self._cores.get(m)
         if cores is None:
-            # one flow step reads snapshots m and m+1 only, so two suffice
+            # a flow step reads snapshots 2j, 2j+1, 2j+2 in that order and the
+            # next starts at 2j+2, so keeping two builds each snapshot once
             if len(self._cores) >= 2:
                 del self._cores[next(iter(self._cores))]
             cores = self._cores[m] = value_grad_cores(self.snapshots[m], self.grid)

@@ -116,8 +116,8 @@ class AnalyticGaussianFlow:
     """Score provider backed by the closed-form Gaussian law.
 
     Mirrors the interface of a solved density trajectory (``n_steps``, ``h``,
-    ``score_at``) and additionally offers exact-time scores, so an integrator
-    can evaluate mid-step stages without snapshot averaging.
+    ``score_at``): snapshot m is the exact law at time m h, so the flow's
+    stages read exact scores and only its time stepping is measured.
     """
 
     box = None
@@ -130,13 +130,10 @@ class AnalyticGaussianFlow:
         self.n_steps = int(n_steps)
         self.h = self.t_max / self.n_steps
 
-    def score_at_time(self, t: float, x: np.ndarray) -> np.ndarray:
-        mean, cov = moments_at(self.spec, t)
-        prec = np.linalg.inv(cov)
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return -(x - mean) @ prec.T
-
     def score_at(self, m: int, x: np.ndarray) -> np.ndarray:
         if not 0 <= m <= self.n_steps:
             raise InvalidShapeError(f"snapshot {m} outside 0..{self.n_steps}")
-        return self.score_at_time(m * self.h, x)
+        mean, cov = moments_at(self.spec, m * self.h)
+        prec = np.linalg.inv(cov)
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        return -(x - mean) @ prec.T

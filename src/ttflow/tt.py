@@ -228,8 +228,10 @@ def tt_weighted_inner(a: TTTensor, b: TTTensor, weights) -> float:
         w = np.asarray(w, dtype=np.float64)
         if w.shape != (a.mode_sizes[k],):
             raise InvalidShapeError(f"weight {k} has shape {w.shape}")
-        v = np.einsum("rR,rns,RnS,n->sS", v, a.cores[k], b.cores[k], w,
-                      optimize=True)
+        # fixed order: v against a, the weight, then b; no per-call path
+        # search, which would cost more than the contraction at low ranks
+        left = np.tensordot(v, a.cores[k], axes=(0, 0)) * w[None, :, None]
+        v = np.tensordot(left, b.cores[k], axes=([0, 1], [0, 1]))
     return float(v[0, 0])
 
 

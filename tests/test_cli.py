@@ -78,7 +78,9 @@ def test_suite_failure_exits_3(monkeypatch, capsys):
 
 def test_gaussian_check_command(tmp_path, capsys):
     report = str(tmp_path / "check.json")
+    # +-8 as in test_gaussian_check_stationary: 64 nodes resolve N(0, 1) there
     code = main(["gaussian-check", "--dim", "2", "--grid", "64", "--steps", "16",
+                 "--box", "-8", "8",
                  "--samples", "30", "--seed", "3", "--family", "gaussian",
                  "--mean", "0", "0", "--var", "1", "1", "--report", report])
     assert code == 0
@@ -87,6 +89,7 @@ def test_gaussian_check_command(tmp_path, capsys):
     with open(report) as fh:
         rep = json.load(fh)
     assert f"closed-form gap {rep['limit_gap']:.3e}" in out
+    assert f"wall ratio {rep['boundary_ratio']:.3e}" in out
     assert rep["l2_max"] <= 1e-6
     assert rep["map_discrepancy_finite"] <= 1e-6
 
@@ -113,7 +116,7 @@ def test_trajectories_command(tmp_path, capsys):
     with open(csv_path) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "id,t,x_1,x_2"
-    assert len(lines) == 1 + 3 * 9
+    assert len(lines) == 1 + 3 * (8 // 2 + 1)
 
 
 def test_table_command(tmp_path, capsys):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ttflow import flow
+from ttflow import flow, fpe
 from ttflow.chebyshev import ChebGrid
 from ttflow.densities import diag_gaussian_tt, gen_quartic_mixture, normalize_and_certify
-from ttflow.errors import InvalidShapeError, SamplingError
+from ttflow.errors import ConfigError, InvalidShapeError, SamplingError
 from ttflow.flow import (PointCloud, flow_integrate, paths_to_csv, sample_tt,
                          straightness_diagnostic)
 from ttflow.fpe import fpe_solve
@@ -102,7 +102,7 @@ def test_flow_requires_provider_box():
 def test_flow_stationary_fixed_points():
     grid = ChebGrid.uniform(2, 96, -8.0, 8.0)
     p0 = _norm_tt(grid, 0.0, 1.0)
-    traj = fpe_solve(p0, grid, m_steps=25, t_max=5.0)
+    traj = fpe_solve(p0, grid, m_steps=24, t_max=5.0)
     x0 = sample_tt(p0, grid, 200, seed=1)
     res = flow_integrate(traj, x0)
     assert np.abs(res.x1.points - x0.points).max() < 1e-6
@@ -143,7 +143,7 @@ def test_rk4_order_on_exact_score_provider():
     x0 = PointCloud(points=rng.uniform(-2, 2, size=(50, 2)))
     expect = finite_time_map(spec, x0.points, 5.0)
     errs = []
-    for m_steps in (10, 20, 40):
+    for m_steps in (20, 40, 80):  # RK4 steps of 2h: 0.5, 0.25, 0.125
         provider = AnalyticGaussianFlow(spec, t_max=5.0, n_steps=m_steps)
         res = flow_integrate(provider, x0)
         errs.append(np.abs(res.x1.points - expect).max())
@@ -152,23 +152,47 @@ def test_rk4_order_on_exact_score_provider():
     assert errs[-1] < 1e-4
 
 
-def test_rk4_snapshot_averaging_is_second_order():
-    # without exact stage times the midpoint average limits the scheme to
-    # second order; confirm the observed rate sits near 2
-    grid = ChebGrid.uniform(2, 96, -8.0, 8.0)
-    a0 = np.array([1.0, 0.0])
-    p0 = _norm_tt(grid, a0, 1.0)
-    spec = GaussianSpec(a0, np.eye(2))
+def test_stride2_rk4_time_order_on_fpe_snapshots():
+    # the midpoint stages read the odd snapshot, which is exact in time, so
+    # the flow keeps RK4's order on solved snapshots; +-12 walls keep the
+    # spatial error (wall truncation) below the time error at every M
+    grid = ChebGrid.uniform(2, 96, -12.0, 12.0)
+    a0, var = np.array([1.0, 0.0]), np.array([2.0, 0.5])
+    p0 = _norm_tt(grid, a0, var)
+    spec = GaussianSpec(a0, np.diag(var))
     rng = np.random.default_rng(4)
     x0 = PointCloud(points=rng.uniform(-1.5, 1.5, size=(30, 2)))
     expect = finite_time_map(spec, x0.points, 5.0)
     errs = []
-    for m_steps in (25, 50, 100):
+    for m_steps in (32, 64, 128):
         traj = fpe_solve(p0, grid, m_steps=m_steps, t_max=5.0)
         res = flow_integrate(traj, x0)
         errs.append(np.abs(res.x1.points - expect).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    assert np.all(orders > 1.7) and np.all(orders < 2.6)
+    assert np.all(orders >= 3.4), (errs, orders)
+
+
+def test_flow_builds_each_snapshot_once(monkeypatch):
+    grid = ChebGrid.uniform(2, 24, -8.0, 8.0)
+    p0 = _norm_tt(grid, [0.5, 0.0], [1.5, 0.8])
+    traj = fpe_solve(p0, grid, m_steps=10, t_max=2.0)
+    built = []
+    real = fpe.value_grad_cores
+
+    def counting(p, g):
+        built.append(next(m for m, s in enumerate(traj.snapshots) if s is p))
+        return real(p, g)
+
+    monkeypatch.setattr(fpe, "value_grad_cores", counting)
+    flow_integrate(traj, sample_tt(p0, grid, 20, seed=2))
+    assert built == list(range(11))
+
+
+def test_flow_rejects_odd_step_count():
+    spec = GaussianSpec(np.zeros(2), np.eye(2))
+    x0 = PointCloud(points=np.zeros((2, 2)))
+    with pytest.raises(ConfigError):
+        flow_integrate(AnalyticGaussianFlow(spec, t_max=1.0, n_steps=5), x0)
 
 
 def test_flow_pushforward_moments():
@@ -194,7 +218,7 @@ def test_paths_and_straightness():
     frozen = AnalyticGaussianFlow(GaussianSpec(np.zeros(2), np.diag([4.0, 1.0])), 5.0, 50)
     x0 = PointCloud(points=np.array([[2.0, 1.5], [0.5, -1.0], [0.0, 0.0]]))
     res = flow_integrate(frozen, x0)
-    assert res.states.shape == (51, 3, 2)
+    assert res.states.shape == (26, 3, 2)  # the even snapshots of 50
     assert np.array_equal(res.states[0], x0.points)
     assert np.array_equal(res.states[-1], res.x1.points)
     assert res.times[0] == 0.0 and res.times[-1] == pytest.approx(5.0)
@@ -232,7 +256,7 @@ def test_paths_csv(tmp_path):
     paths_to_csv(res.states, res.times, x0.ids, out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "id,t,x_1,x_2"
-    assert len(lines) == 1 + 5
+    assert len(lines) == 1 + 3  # t = 0, 0.5, 1
     first = lines[1].split(",")
     assert int(first[0]) == 0 and float(first[1]) == 0.0
     assert [float(v) for v in first[2:]] == [0.5, -0.5]
@@ -240,14 +264,14 @@ def test_paths_csv(tmp_path):
     assert float(last[1]) == pytest.approx(1.0)
     assert [float(v) for v in last[2:]] == res.x1.points[0].tolist()
     empty = tmp_path / "empty.csv"
-    paths_to_csv(np.empty((5, 0, 3)), res.times, [], empty)
+    paths_to_csv(np.empty((3, 0, 3)), res.times, [], empty)
     assert empty.read_text().strip() == "id,t,x_1,x_2,x_3"
 
 
 def test_flow_encoder_limit_against_whitening():
     # long horizon: the flow endpoint approaches the whitening map
     spec = GaussianSpec(np.array([0.5, -0.2]), np.diag([3.0, 0.6]))
-    provider = AnalyticGaussianFlow(spec, t_max=30.0, n_steps=600)
+    provider = AnalyticGaussianFlow(spec, t_max=30.0, n_steps=1200)
     rng = np.random.default_rng(8)
     x0 = PointCloud(points=rng.uniform(-2, 2, size=(40, 2)))
     res = flow_integrate(provider, x0)

@@ -28,7 +28,8 @@ def test_config_validation():
                 dict(TOY, t_max=0.0), dict(TOY, family="nope"),
                 dict(TOY, d=4, family="quartic-mixture"),
                 dict(TOY, n_samples=0), dict(TOY, n_densities=0),
-                dict(TOY, workers=0), dict(TOY, box=(3.0, -3.0))]:
+                dict(TOY, workers=0), dict(TOY, box=(3.0, -3.0)),
+                dict(TOY, m_steps=9)]:
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
 
@@ -151,8 +152,10 @@ def test_run_suite_parallel_matches_serial():
 
 
 def test_gaussian_check_stationary():
+    # N(0, 1) has decayed to e^-32 at +-8, and 64 nodes under-resolve the
+    # score on the wider default box
     cfg = ExperimentConfig(d=2, n_grid=64, m_steps=16, family="gaussian",
-                           n_samples=100, n_densities=1, seed=3)
+                           n_samples=100, n_densities=1, seed=3, box=(-8.0, 8.0))
     rep = gaussian_check(cfg, mean=(0.0, 0.0), var=(1.0, 1.0))
     assert rep["map_discrepancy_finite"] <= 1e-6
     assert rep["l2_max"] <= 1e-6
@@ -224,7 +227,7 @@ def test_dump_trajectories_stationary_is_straight(tmp_path):
     # 64 nodes resolve the stationary score well enough that points move
     # only by noise (~1e-7), below the diagnostic's chord floor
     cfg = ExperimentConfig(d=2, n_grid=64, m_steps=8, family="gaussian",
-                           n_samples=10, n_densities=1, seed=2,
+                           n_samples=10, n_densities=1, seed=2, box=(-8.0, 8.0),
                            gaussian_mean=(0.0, 0.0), gaussian_var=(1.0, 1.0))
     payload = dump_trajectories(cfg, 5, str(tmp_path / "p.csv"))
     assert len(payload["straightness"]) == 5
@@ -240,7 +243,7 @@ def test_dump_trajectories_mixture_bends(tmp_path):
     assert max(payload["straightness"]) > 1e-3
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "id,t,x_1,x_2"
-    assert len(lines) == 1 + 12 * (24 + 1)
+    assert len(lines) == 1 + 12 * (24 // 2 + 1)
     with open(json_path) as fh:
         assert json.load(fh)["straightness"] == payload["straightness"]
 
@@ -281,3 +284,28 @@ def test_aggregate_table_all_densities_failed(monkeypatch, tmp_path):
     table = aggregate_table([os.path.join(out, "summary.json")])
     assert table.splitlines()[2] == (
         "| 2 | 32 | 8 | quartic-mixture | 0 | 25 | n/a | n/a | n/a | n/a | n/a |")
+
+
+def test_gaussian_check_spectral_in_n():
+    # on the default +-12 box the walls have decayed, so the density error
+    # keeps falling spectrally in n; at +-8 it stalls near 6.6e-6
+    l2 = []
+    for n in (48, 64, 80, 96):
+        cfg = ExperimentConfig(d=2, n_grid=n, m_steps=16, family="gaussian",
+                               n_samples=10, n_densities=1, seed=3)
+        assert cfg.box == (-12.0, 12.0)
+        l2.append(gaussian_check(cfg, mean=(1.0, 0.0), var=(2.0, 0.5))["l2_max"])
+    ratios = np.array(l2[:-1]) / np.array(l2[1:])
+    assert np.all(ratios > 50) and np.all(np.diff(ratios) > 0), l2
+    assert l2[-1] <= 1e-9
+
+
+def test_gaussian_check_decayed_walls_regression():
+    # a seeded oracle Gaussian whose +-8 walls sit at 2.7e-6 of its peak; the
+    # truncated tail bent one path by 1.6e-3 there
+    cfg = ExperimentConfig(d=2, n_grid=128, m_steps=256, family="gaussian",
+                           n_samples=500, n_densities=1, seed=904665937)
+    rep = gaussian_check(cfg, mean=(-0.9701443526709974, 0.37265029838304153),
+                         var=(1.928735780983487, 0.8743017222135242))
+    assert rep["boundary_ratio"] <= 1e-12
+    assert rep["map_discrepancy_finite"] <= 1e-5

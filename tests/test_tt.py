@@ -165,3 +165,24 @@ def test_weighted_inner_matches_dense():
     ones = TTTensor([np.ones((1, n, 1)) for n in (5, 6, 4)])
     assert abs(tt_weighted_inner(a, ones, weights)
                - tt_integrate(a, [w for w in weights])) < 1e-12
+
+
+def _random_tt(rng, sizes, rank):
+    ranks = [1] + [rank] * (len(sizes) - 1) + [1]
+    return TTTensor([rng.standard_normal((ranks[k], n, ranks[k + 1]))
+                     for k, n in enumerate(sizes)])
+
+
+@pytest.mark.parametrize("sizes,rank", [((128, 128), 2), ((100, 100, 100), 30),
+                                        ((50,) * 7, 2)])
+def test_weighted_inner_matches_einsum_reference(sizes, rank):
+    # the fixed contraction order against the per-mode einsum it replaced
+    rng = np.random.default_rng(len(sizes) * 100 + rank)
+    a, b = _random_tt(rng, sizes, rank), _random_tt(rng, sizes, rank)
+    weights = [rng.uniform(0.0, 1.0, size=n) for n in sizes]
+    v = np.ones((1, 1))
+    for k, w in enumerate(weights):
+        v = np.einsum("rR,rns,RnS,n->sS", v, a.cores[k], b.cores[k], w,
+                      optimize=True)
+    expect = v[0, 0]
+    assert abs(tt_weighted_inner(a, b, weights) - expect) <= 1e-13 * abs(expect)

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import ConfigError
-from .harness import (PRESETS, aggregate_table, config_from_dict,
+from .harness import (FAMILIES, PRESETS, aggregate_table, config_from_dict,
                       dump_trajectories, gaussian_check, run_suite)
 
 
@@ -30,7 +30,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="sample points per density")
     p.add_argument("--densities", type=int, dest="n_densities",
                    help="number of densities in the suite")
-    p.add_argument("--family", choices=("quartic-mixture", "tt-random", "gaussian"))
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--workers", type=int, help="parallel density workers")
     p.add_argument("--out", help="output directory for reports")

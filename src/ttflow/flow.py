@@ -116,10 +116,10 @@ def flow_integrate(provider, x0: PointCloud) -> FlowResult:
     per snapshot pair.
 
     ``provider`` needs an even ``n_steps``, ``h``, ``score_at(m, x)`` (the
-    score at time m h) and a bounding ``box`` (None for an unbounded
-    provider). Stage states leaving the box are clamped for evaluation
-    (counted); points turning non-finite are flagged and reported, their
-    endpoint set to NaN. States are kept at the even snapshots.
+    score at time m h) and a bounding ``box`` (lo, hi), infinite for an
+    unbounded provider. Stage states leaving the box are clamped for
+    evaluation (counted); points turning non-finite are flagged and reported,
+    their endpoint set to NaN. States are kept at the even snapshots.
     """
     m_steps, h = provider.n_steps, provider.h
     if m_steps % 2:
@@ -135,11 +135,8 @@ def flow_integrate(provider, x0: PointCloud) -> FlowResult:
 
     def eval_v(m, xs):
         nonlocal clamped
-        if box is not None:
-            xc = np.clip(xs, box[0], box[1])
-            clamped += int((xc != xs).any(axis=1).sum())
-        else:
-            xc = xs
+        xc = np.clip(xs, box[0], box[1])
+        clamped += int((xc != xs).any(axis=1).sum())
         return -(xc + provider.score_at(m, xc))
 
     for j in range(m_steps // 2):

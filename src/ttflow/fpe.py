@@ -30,6 +30,7 @@ from .tt import (TTTensor, tt_add, tt_extrema, tt_integrate, tt_mode_apply,
                  tt_round, tt_scale, tt_weighted_inner)
 
 ROUND_TOL = 1e-10  # relative Frobenius tolerance of the per-step rounding
+SCORE_FLOOR = 1e-12  # scores divide by at least this fraction of p0's peak
 
 
 def _heat_propagator(n: int, a: float, b: float, tau: float) -> np.ndarray:
@@ -67,7 +68,11 @@ def _step_matrix(n: int, a: float, b: float, h: float) -> np.ndarray:
 
 @dataclass
 class DensityTrajectory:
-    """Normalized density snapshots p_m at times m h, m = 0..M."""
+    """Normalized density snapshots p_m at times m h, m = 0..M.
+
+    ``floor`` is ``SCORE_FLOOR`` times the peak of snapshots[0], found once:
+    every snapshot's score divides by at least that value.
+    """
 
     grid: ChebGrid
     h: float
@@ -75,8 +80,12 @@ class DensityTrajectory:
     masses: list = field(default_factory=list)
     ranks: list = field(default_factory=list)
     floor_hits: int = 0
-    _peaks: dict = field(default_factory=dict, repr=False)
+    floor: float = field(init=False)
     _cores: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        _, peak = tt_extrema(self.snapshots[0], np.random.default_rng(0))
+        self.floor = SCORE_FLOOR * peak
 
     @property
     def n_steps(self) -> int:
@@ -85,12 +94,6 @@ class DensityTrajectory:
     @property
     def box(self):
         return (self.grid.a, self.grid.b)
-
-    def _peak(self, m: int) -> float:
-        if m not in self._peaks:
-            _, hi = tt_extrema(self.snapshots[m], np.random.default_rng(m))
-            self._peaks[m] = hi
-        return self._peaks[m]
 
     def score_at(self, m: int, x: np.ndarray) -> np.ndarray:
         """grad log p_m at points x of shape (n, d), floored away from 0/0."""
@@ -105,10 +108,8 @@ class DensityTrajectory:
             cores = self._cores[m] = value_grad_cores(self.snapshots[m], self.grid)
         vals, grads = interp_value_and_grad(self.snapshots[m], self.grid, x,
                                             _cores=cores)
-        floor = 1e-12 * self._peak(m)
-        low = vals < floor
-        self.floor_hits += int(low.sum())
-        return grads / np.maximum(vals, floor)[:, None]
+        self.floor_hits += int((vals < self.floor).sum())
+        return grads / np.maximum(vals, self.floor)[:, None]
 
 
 def fpe_solve(p0: TTTensor, grid: ChebGrid, m_steps: int,

@@ -120,7 +120,7 @@ class AnalyticGaussianFlow:
     stages read exact scores and only its time stepping is measured.
     """
 
-    box = None
+    box = (-np.inf, np.inf)
 
     def __init__(self, spec: GaussianSpec, t_max: float, n_steps: int):
         if t_max <= 0 or n_steps < 1:

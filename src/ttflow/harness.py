@@ -30,7 +30,7 @@ from .gaussian import GaussianSpec, encoder_map, finite_time_map
 from .tt import tt_integrate, tt_scale
 from .transport import compare
 
-_FAMILIES = ("quartic-mixture", "tt-random", "gaussian")
+FAMILIES = ("quartic-mixture", "tt-random", "gaussian")
 
 PRESETS = {
     "d2": {"d": 2, "n_grid": 250, "m_steps": 250, "family": "quartic-mixture"},
@@ -79,8 +79,8 @@ class ExperimentConfig:
             raise ConfigError(f"t_max must be positive, got {self.t_max}")
         if not box[1] > box[0]:
             raise ConfigError(f"empty box {box}")
-        if self.family not in _FAMILIES:
-            raise ConfigError(f"family must be one of {_FAMILIES}, got {self.family!r}")
+        if self.family not in FAMILIES:
+            raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.family == "quartic-mixture" and self.d > 3:
             raise ConfigError("quartic-mixture densities are defined for d <= 3")
         if self.n_samples < 1 or self.n_densities < 1:

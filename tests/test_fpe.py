@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from ttflow import fpe
 from ttflow.chebyshev import ChebGrid, interp_value_and_grad
 from ttflow.cross import cross_approximate
 from ttflow.densities import diag_gaussian_tt, gen_quartic_mixture, normalize_and_certify
 from ttflow.errors import ConfigError, InvalidShapeError
-from ttflow.fpe import (DensityTrajectory, _dilation_rows, _heat_propagator,
-                        _step_matrix, density_moments, fpe_solve,
-                        rel_l2_distance)
+from ttflow.flow import flow_integrate, sample_tt
+from ttflow.fpe import (SCORE_FLOOR, DensityTrajectory, _dilation_rows,
+                        _heat_propagator, _step_matrix, density_moments,
+                        fpe_solve, rel_l2_distance)
 from ttflow.tt import tt_extrema, tt_integrate, tt_mode_apply, tt_scale
 
 
@@ -255,7 +257,8 @@ def test_score_floor_counts_hits():
     v0[10] = 0.0
     v1 = np.exp(-0.5 * grid.nodes(1) ** 2)
     p = TTTensor([v0.reshape(1, -1, 1), v1.reshape(1, -1, 1)])
-    traj = DensityTrajectory(grid=grid, h=1.0, snapshots=[p, p])
+    big = tt_scale(p, 4.0)
+    traj = DensityTrajectory(grid=grid, h=1.0, snapshots=[p, big])
     x0 = grid.nodes(0)[10]
     pts = np.array([[x0, grid.nodes(1)[12]], [x0, grid.nodes(1)[20]]])
     out = traj.score_at(0, pts)
@@ -263,6 +266,31 @@ def test_score_floor_counts_hits():
     assert traj.floor_hits == 2
     traj.score_at(0, np.array([[0.1, 0.2]]))
     assert traj.floor_hits == 2
+    # the 4x snapshot is floored at p0's value too, so its score on the zero
+    # column is 4x snapshot 0's there, not equal to it
+    out_big = traj.score_at(1, pts)
+    assert traj.floor_hits == 4
+    vals, grads = interp_value_and_grad(big, grid, pts)
+    assert np.all(vals == 0.0) and np.abs(grads[:, 0]).min() > 0
+    np.testing.assert_allclose(out_big, grads / traj.floor, rtol=1e-14)
+    np.testing.assert_allclose(out_big, 4.0 * out, rtol=1e-14)
+
+
+def test_score_floor_peak_is_searched_once_per_trajectory(monkeypatch):
+    calls = []
+
+    def counting(t, rng):
+        calls.append(tt_extrema(t, rng))
+        return calls[-1]
+
+    monkeypatch.setattr(fpe, "tt_extrema", counting)
+    grid = ChebGrid.uniform(2, 48, -8.0, 8.0)
+    p0 = _norm_tt(grid, [0.5, -0.3], 1.2)
+    traj = fpe_solve(p0, grid, m_steps=8, t_max=2.0)
+    res = flow_integrate(traj, sample_tt(p0, grid, 20, seed=3))
+    assert res.failed_ids == []
+    assert len(calls) == 1
+    assert traj.floor == SCORE_FLOOR * calls[0][1]
 
 
 def test_solver_validation():

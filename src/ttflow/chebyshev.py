@@ -3,7 +3,8 @@
 Nodes are Chebyshev-Gauss-Lobatto points mapped affinely to [a, b] and stored
 in ascending order. Differentiation matrices use the barycentric form with the
 negative-sum trick for the diagonal; quadrature weights are Clenshaw-Curtis,
-exact for polynomials of degree <= n-1.
+exact for polynomials of degree <= n-1. Nodes, differentiation matrices and
+weights are cached per (n, a, b) and returned read-only.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import DomainBoundsError, InvalidShapeError
 
 
+@functools.lru_cache(maxsize=64)
 def cheb_nodes(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
     """Ascending Chebyshev-Gauss-Lobatto nodes on [a, b]."""
     if n < 2:
@@ -24,7 +26,9 @@ def cheb_nodes(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
         raise InvalidShapeError(f"empty interval [{a}, {b}]")
     k = np.arange(n)
     x = np.cos(np.pi * k / (n - 1))[::-1]
-    return (a + b) / 2 + (b - a) / 2 * x
+    x = (a + b) / 2 + (b - a) / 2 * x
+    x.flags.writeable = False
+    return x
 
 
 def barycentric_weights(n: int) -> np.ndarray:
@@ -36,6 +40,7 @@ def barycentric_weights(n: int) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=64)
 def diff_matrix(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
     """First-derivative collocation matrix on the CGL nodes of [a, b]."""
     x = cheb_nodes(n, a, b)
@@ -45,9 +50,11 @@ def diff_matrix(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
     d = (w[None, :] / w[:, None]) / dx
     np.fill_diagonal(d, 0.0)
     np.fill_diagonal(d, -d.sum(axis=1))
+    d.flags.writeable = False
     return d
 
 
+@functools.lru_cache(maxsize=64)
 def cc_weights(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
     """Clenshaw-Curtis quadrature weights over [a, b] (ascending node order)."""
     m = n - 1
@@ -67,7 +74,9 @@ def cc_weights(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
         for k in range(1, (m - 1) // 2 + 1):
             v -= 2.0 * np.cos(2 * k * theta[ii]) / (4 * k * k - 1)
     w[ii] = 2.0 * v / m
-    return w[::-1] * (b - a) / 2.0
+    w = w[::-1] * (b - a) / 2.0
+    w.flags.writeable = False
+    return w
 
 
 def _barycentric_block(n: int, a: float, b: float, pts: np.ndarray,
@@ -83,7 +92,7 @@ def _barycentric_block(n: int, a: float, b: float, pts: np.ndarray,
     raises, "zero" gives an all-zero row whose sum is 0.
     """
     pts = np.atleast_1d(np.asarray(pts, dtype=np.float64))
-    x = _nodes_cached(n, a, b)
+    x = cheb_nodes(n, a, b)
     inside = (pts >= a) & (pts <= b)
     if outside == "error":
         if not inside.all():
@@ -145,16 +154,16 @@ class ChebGrid:
         return tuple(self.ns)
 
     def nodes(self, k: int) -> np.ndarray:
-        return _nodes_cached(self.ns[k], self.a, self.b)
+        return cheb_nodes(self.ns[k], self.a, self.b)
 
     def diff1(self, k: int) -> np.ndarray:
-        return _diff_cached(self.ns[k], self.a, self.b)
+        return diff_matrix(self.ns[k], self.a, self.b)
 
     def quad_weights(self, k: int) -> np.ndarray:
-        return _cc_cached(self.ns[k], self.a, self.b)
+        return cc_weights(self.ns[k], self.a, self.b)
 
-    def interp_rows(self, k: int, pts: np.ndarray, outside: str = "error") -> np.ndarray:
-        return interp_matrix(self.ns[k], self.a, self.b, pts, outside=outside)
+    def interp_rows(self, k: int, pts: np.ndarray) -> np.ndarray:
+        return interp_matrix(self.ns[k], self.a, self.b, pts)
 
     def index_to_point(self, idx: np.ndarray) -> np.ndarray:
         """Map integer multi-indices (m, d) to node coordinates (m, d)."""
@@ -163,27 +172,6 @@ class ChebGrid:
         for k in range(self.d):
             out[:, k] = self.nodes(k)[idx[:, k]]
         return out
-
-
-@functools.lru_cache(maxsize=64)
-def _nodes_cached(n, a, b):
-    x = cheb_nodes(n, a, b)
-    x.flags.writeable = False
-    return x
-
-
-@functools.lru_cache(maxsize=64)
-def _diff_cached(n, a, b):
-    d = diff_matrix(n, a, b)
-    d.flags.writeable = False
-    return d
-
-
-@functools.lru_cache(maxsize=64)
-def _cc_cached(n, a, b):
-    w = cc_weights(n, a, b)
-    w.flags.writeable = False
-    return w
 
 
 def value_grad_cores(tt, grid: ChebGrid) -> list:
@@ -197,8 +185,7 @@ def value_grad_cores(tt, grid: ChebGrid) -> list:
     return out
 
 
-def interp_value_and_grad(tt, grid: ChebGrid, x: np.ndarray,
-                          outside: str = "error", _cores=None):
+def interp_value_and_grad(tt, grid: ChebGrid, x: np.ndarray, _cores=None):
     """Interpolant values and gradients at ``x`` (m, d): returns (m,), (m, d).
 
     Mode k contributes the factor W_k G_k per point, with W_k the
@@ -208,6 +195,7 @@ def interp_value_and_grad(tt, grid: ChebGrid, x: np.ndarray,
     divided by C_k's row sum, so W_k itself is never formed. ``_cores`` takes
     ``value_grad_cores(tt, grid)`` from a caller that evaluates the same
     tensor many times. Prefix/suffix chain products are shared across modes.
+    Points outside the box raise ``DomainBoundsError``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != grid.d:
@@ -218,9 +206,9 @@ def interp_value_and_grad(tt, grid: ChebGrid, x: np.ndarray,
     factors, dfactors = [], []
     for k, core in enumerate(tt.cores):
         r, n, s = core.shape
-        c, sums = _barycentric_block(n, grid.a, grid.b, x[:, k], outside)
+        c, sums = _barycentric_block(n, grid.a, grid.b, x[:, k], "error")
         both = c @ _cores[k]
-        both /= np.where(sums == 0.0, 1.0, sums)[:, None]  # zero rows stay 0
+        both /= sums[:, None]
         factors.append(both[:, :r * s].reshape(m, r, s))
         dfactors.append(both[:, r * s:].reshape(m, r, s))
     prefix = [np.ones((m, 1))]

@@ -142,9 +142,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def run() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    run()
+    raise SystemExit(main())

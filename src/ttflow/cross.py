@@ -18,6 +18,12 @@ import numpy as np
 from .errors import InvalidShapeError, NumericalDomainError
 from .tt import TTTensor, tt_eval
 
+_VALIDATION_SIZE = 1000  # held-out random indices scoring each sweep
+_START_RANK = 2  # internal ranks of the first sweep
+_MAX_SWEEPS = 60  # sweeps before giving up on the tolerance
+_MAXVOL_TOL = 1.05  # maxvol stops once no coefficient exceeds this
+_MAXVOL_ITERS = 100  # row swaps per maxvol call
+
 
 def _greedy_rows(a: np.ndarray, r: int) -> np.ndarray:
     """Greedy volume-style row seed: pick r rows by norm with deflation."""
@@ -36,7 +42,7 @@ def _greedy_rows(a: np.ndarray, r: int) -> np.ndarray:
     return rows
 
 
-def maxvol(a: np.ndarray, tol: float = 1.05, max_iters: int = 100) -> np.ndarray:
+def maxvol(a: np.ndarray) -> np.ndarray:
     """Indices of ``r`` quasi-dominant rows of a tall (m, r) matrix."""
     m, r = a.shape
     if m < r:
@@ -48,9 +54,9 @@ def maxvol(a: np.ndarray, tol: float = 1.05, max_iters: int = 100) -> np.ndarray
         c = np.linalg.solve(a[rows].T, a.T).T
     except np.linalg.LinAlgError:
         c = np.linalg.lstsq(a[rows].T, a.T, rcond=None)[0].T
-    for _ in range(max_iters):
+    for _ in range(_MAXVOL_ITERS):
         i, j = np.unravel_index(np.argmax(np.abs(c)), c.shape)
-        if abs(c[i, j]) <= tol:
+        if abs(c[i, j]) <= _MAXVOL_TOL:
             break
         rows[j] = i
         ej = np.zeros(r)
@@ -63,11 +69,9 @@ def maxvol(a: np.ndarray, tol: float = 1.05, max_iters: int = 100) -> np.ndarray
 class CrossResult:
     tensor: TTTensor
     converged: bool
-    rank_capped: bool
     val_error: float
     n_evals: int  # distinct indices sent to the black box, each evaluated once
     sweeps: int
-    max_rank_reached: int
 
 
 def _checked_eval(f, idx: np.ndarray) -> np.ndarray:
@@ -114,13 +118,13 @@ def _random_rows(rng, sizes, count, existing=None) -> np.ndarray:
 
 
 def cross_approximate(f, mode_sizes, tol: float, max_rank: int = 30,
-                      rng=None, validation_size: int = 1000, start_rank: int = 2,
-                      max_sweeps: int = 60, maxvol_tol: float = 1.05) -> CrossResult:
+                      rng=None) -> CrossResult:
     """Approximate ``f`` on the index grid by a TT tensor.
 
-    Stops once the relative l2 error on ``validation_size`` held-out random
+    Stops once the relative l2 error on ``_VALIDATION_SIZE`` held-out random
     indices is <= tol; otherwise bumps every internal rank by one and resweeps
-    until ``max_rank`` is reached (reported via ``rank_capped``).
+    until every rank reaches ``max_rank`` or ``_MAX_SWEEPS`` sweeps have run.
+    Without convergence it returns the best sweep, ``converged`` false.
     """
     sizes = tuple(int(n) for n in mode_sizes)
     d = len(sizes)
@@ -153,15 +157,10 @@ def cross_approximate(f, mode_sizes, tol: float, max_rank: int = 30,
             keys, vals = np.insert(keys, at, new), np.insert(vals, at, fresh)
         return out
 
-    val_idx = np.stack([rng.integers(0, n, size=validation_size) for n in sizes],
+    val_idx = np.stack([rng.integers(0, n, size=_VALIDATION_SIZE) for n in sizes],
                        axis=1)
     val_ref = call(val_idx)
     val_scale = np.linalg.norm(val_ref)
-
-    if d == 1:
-        vals = call(np.arange(sizes[0], dtype=np.int64)[:, None])
-        t = TTTensor([vals.reshape(1, -1, 1)], copy=False)
-        return CrossResult(t, True, False, 0.0, evals, 0, 1)
 
     caps = [1] + [min(max_rank, math.prod(sizes[:k]), math.prod(sizes[k:]))
                   for k in range(1, d)] + [1]
@@ -169,13 +168,12 @@ def cross_approximate(f, mode_sizes, tol: float, max_rank: int = 30,
     right = [None] * (d + 1)
     right[d] = np.zeros((1, 0), dtype=np.int64)
     for k in range(d - 1, 0, -1):
-        right[k] = _random_rows(rng, sizes[k:], min(start_rank, caps[k]))
+        right[k] = _random_rows(rng, sizes[k:], min(_START_RANK, caps[k]))
 
     best = None
     val_err = np.inf
-    rank_capped = False
     sweep = 0
-    while sweep < max_sweeps:
+    while sweep < _MAX_SWEEPS:
         sweep += 1
         left = [None] * (d + 1)
         left[0] = np.zeros((1, 0), dtype=np.int64)
@@ -187,7 +185,7 @@ def cross_approximate(f, mode_sizes, tol: float, max_rank: int = 30,
             rl = left[k].shape[0]
             rr = right[k + 1].shape[0]
             q, _ = np.linalg.qr(fv.reshape(rl * sizes[k], rr))
-            piv = maxvol(q, tol=maxvol_tol)
+            piv = maxvol(q)
             left[k + 1] = combo.reshape(rl * sizes[k], rr, d)[piv, 0, :k + 1]
         # right-to-left: reselect nested right sets, build cores
         for k in range(d - 1, 0, -1):
@@ -197,7 +195,7 @@ def cross_approximate(f, mode_sizes, tol: float, max_rank: int = 30,
             rr = right[k + 1].shape[0]
             mat = fv.reshape(rl, sizes[k] * rr)
             q, _ = np.linalg.qr(mat.T)
-            piv = maxvol(q, tol=maxvol_tol)
+            piv = maxvol(q)
             try:
                 core = np.linalg.solve(q[piv].T, q.T)
             except np.linalg.LinAlgError:
@@ -217,10 +215,8 @@ def cross_approximate(f, mode_sizes, tol: float, max_rank: int = 30,
         if np.isfinite(val_err) and (best is None or val_err < best[1]):
             best = (t, val_err)
         if val_err <= tol:
-            return CrossResult(t, True, False, float(val_err), evals, sweep,
-                               max(t.ranks))
+            return CrossResult(t, True, float(val_err), evals, sweep)
         if all(right[k].shape[0] >= caps[k] for k in range(1, d)):
-            rank_capped = True
             break
         for k in range(1, d):
             want = min(right[k].shape[0] + 1, caps[k])
@@ -230,5 +226,4 @@ def cross_approximate(f, mode_sizes, tol: float, max_rank: int = 30,
     if best is None:
         raise NumericalDomainError("cross approximation produced no usable sweep")
     t, val_err = best
-    return CrossResult(t, False, rank_capped, float(val_err), evals, sweep,
-                       max(t.ranks))
+    return CrossResult(t, False, float(val_err), evals, sweep)

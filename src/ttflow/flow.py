@@ -22,23 +22,18 @@ from .tt import TTTensor
 
 _FINE = 2048  # refined 1-d grid for inverse-CDF sampling
 _CHUNK = 128  # samples per block; bounds the (block, _FINE) temporaries
+_CHORD_FLOOR = 1e-6  # shorter start-end chords are transport noise, not paths
 
 
 @dataclass(frozen=True)
 class PointCloud:
-    """n points in R^d with stable ids; pairing across clouds is by id."""
+    """n points in R^d; pairing across clouds is by row."""
 
     points: np.ndarray
-    ids: np.ndarray = None
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
-        ids = (np.arange(pts.shape[0]) if self.ids is None
-               else np.asarray(self.ids, dtype=np.int64))
-        if ids.shape != (pts.shape[0],):
-            raise InvalidShapeError("ids must match the number of points")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "points",
+                           np.atleast_2d(np.asarray(self.points, dtype=np.float64)))
 
     @property
     def n(self) -> int:
@@ -54,7 +49,7 @@ class FlowResult(NamedTuple):
     states: np.ndarray  # (M/2+1, n, d): row j holds every point at times[j]
     times: np.ndarray
     clamped: int
-    failed_ids: list
+    failed_ids: list  # rows of x0 whose paths turned non-finite
 
 
 def sample_tt(p: TTTensor, grid: ChebGrid, n: int, seed: int) -> PointCloud:
@@ -118,8 +113,9 @@ def flow_integrate(provider, x0: PointCloud) -> FlowResult:
     ``provider`` needs an even ``n_steps``, ``h``, ``score_at(m, x)`` (the
     score at time m h) and a bounding ``box`` (lo, hi), infinite for an
     unbounded provider. Stage states leaving the box are clamped for
-    evaluation (counted); points turning non-finite are flagged and reported,
-    their endpoint set to NaN. States are kept at the even snapshots.
+    evaluation (counted); points turning non-finite are reported by row in
+    ``failed_ids`` and stay NaN from then on. States are kept at the even
+    snapshots.
     """
     m_steps, h = provider.n_steps, provider.h
     if m_steps % 2:
@@ -154,20 +150,19 @@ def flow_integrate(provider, x0: PointCloud) -> FlowResult:
         alive[full[~ok]] = False
         states[j + 1] = x
 
-    failed = [int(i) for i in x0.ids[~alive]]
-    x1 = PointCloud(points=x, ids=x0.ids.copy())
-    return FlowResult(x1=x1, states=states, times=np.arange(0, m_steps + 1, 2) * h,
-                      clamped=clamped, failed_ids=failed)
+    return FlowResult(x1=PointCloud(points=x), states=states,
+                      times=np.arange(0, m_steps + 1, 2) * h, clamped=clamped,
+                      failed_ids=np.flatnonzero(~alive).tolist())
 
 
-def straightness_diagnostic(states: np.ndarray, chord_floor: float = 0.0) -> np.ndarray:
+def straightness_diagnostic(states: np.ndarray) -> np.ndarray:
     """Max perpendicular deviation from the start-end chord, per unit chord.
 
     ``states`` is a (T, n, d) path array such as ``FlowResult.states``; the
     result has one entry per path. 0 for perfectly straight (or stationary)
-    paths. Chords no longer than chord_floor count as stationary: the ratio
-    on a path whose whole extent is numerical noise measures nothing but
-    that noise.
+    paths. Chords no longer than ``_CHORD_FLOOR`` count as stationary: the
+    ratio on a path whose whole extent is numerical noise measures nothing
+    but that noise.
     """
     if states.ndim != 3 or states.shape[1] == 0:
         raise InvalidShapeError(f"need a (T, n, d) path array with n >= 1, "
@@ -180,7 +175,7 @@ def straightness_diagnostic(states: np.ndarray, chord_floor: float = 0.0) -> np.
             continue
         chord = s[-1] - s[0]
         length = np.linalg.norm(chord)
-        if length <= chord_floor:
+        if length <= _CHORD_FLOOR:
             out[i] = 0.0
             continue
         rel = s - s[0]
@@ -190,14 +185,14 @@ def straightness_diagnostic(states: np.ndarray, chord_floor: float = 0.0) -> np.
     return out
 
 
-def paths_to_csv(states: np.ndarray, times, ids, path) -> None:
+def paths_to_csv(states: np.ndarray, times, path) -> None:
     """Write a (T, n, d) path array as rows id,t,x_1..x_d (long format).
 
-    Path i is labelled ``ids[i]``; rows run path by path, time by time.
+    Path i is labelled by its row i; rows run path by path, time by time.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "t"] + [f"x_{j + 1}" for j in range(states.shape[2])])
-        for i, pid in enumerate(ids):
+        for i in range(states.shape[1]):
             for t, s in zip(times, states[:, i, :]):
-                writer.writerow([int(pid), repr(float(t))] + [repr(float(v)) for v in s])
+                writer.writerow([i, repr(float(t))] + [repr(float(v)) for v in s])

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .chebyshev import (ChebGrid, diff_matrix, interp_value_and_grad,
-                        value_grad_cores)
+from .chebyshev import (ChebGrid, cheb_nodes, diff_matrix, interp_matrix,
+                        interp_value_and_grad, value_grad_cores)
 from .errors import ConfigError, InvalidShapeError, NumericalDomainError
 from .tt import (TTTensor, tt_add, tt_extrema, tt_integrate, tt_mode_apply,
                  tt_round, tt_scale, tt_weighted_inner)
@@ -53,8 +53,7 @@ def _heat_propagator(n: int, a: float, b: float, tau: float) -> np.ndarray:
 def _dilation_rows(n: int, a: float, b: float, h: float) -> np.ndarray:
     """Interpolation rows at the scaled nodes e^h x of one mode; nodes pushed
     outside the box read 0 (the density is certified to have decayed there)."""
-    grid = ChebGrid((n,), a, b)
-    return grid.interp_rows(0, np.exp(h) * grid.nodes(0), outside="zero")
+    return interp_matrix(n, a, b, np.exp(h) * cheb_nodes(n, a, b), outside="zero")
 
 
 @functools.lru_cache(maxsize=32)

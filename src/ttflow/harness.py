@@ -75,10 +75,22 @@ class ExperimentConfig:
         if self.m_steps < 4 or self.m_steps % 2:
             raise ConfigError(f"temporal grid size must be even and >= 4, "
                               f"got {self.m_steps}")
-        if self.t_max <= 0:
-            raise ConfigError(f"t_max must be positive, got {self.t_max}")
+        if not (np.isfinite(self.t_max) and self.t_max > 0):
+            raise ConfigError(f"t_max must be finite and positive, got {self.t_max}")
+        if len(box) != 2 or not np.isfinite(box).all():
+            raise ConfigError(f"box must be two finite numbers, got {box}")
         if not box[1] > box[0]:
             raise ConfigError(f"empty box {box}")
+        for name in ("gaussian_mean", "gaussian_var"):
+            value = getattr(self, name)
+            if value is not None and len(value) != self.d:
+                raise ConfigError(f"{name} must have length d={self.d}, got {len(value)}")
+        if self.gaussian_mean is not None and not np.isfinite(self.gaussian_mean).all():
+            raise ConfigError(f"gaussian_mean must be finite, got {self.gaussian_mean}")
+        if self.gaussian_var is not None and not (np.isfinite(self.gaussian_var).all()
+                                                  and min(self.gaussian_var) > 0):
+            raise ConfigError(f"gaussian_var must be finite and positive, "
+                              f"got {self.gaussian_var}")
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.family == "quartic-mixture" and self.d > 3:
@@ -135,8 +147,6 @@ def _gaussian_params(config: ExperimentConfig, seed: int):
         rng = np.random.default_rng(seed)
         mean = rng.uniform(-1.0, 1.0, size=config.d)
         var = rng.uniform(0.5, 2.0, size=config.d)
-    if mean.shape != (config.d,) or var.shape != (config.d,):
-        raise ConfigError("gaussian mean/var must have length d")
     return mean, var
 
 
@@ -242,9 +252,9 @@ def run_one(config: ExperimentConfig, index: int) -> dict:
 
 
 def _run_one_payload(args):
-    config_dict, index = args
+    config, index = args
     try:
-        return run_one(config_from_dict(config_dict), index), None
+        return run_one(config, index), None
     except Exception as exc:  # per-density failures are budgeted
         return None, {"index": index, "error": f"{type(exc).__name__}: {exc}"}
 
@@ -253,7 +263,7 @@ def run_suite(config: ExperimentConfig) -> dict:
     """All densities; writes per-density and summary JSON when out is set."""
     t0 = time.perf_counter()
     reports, failures = [], []
-    payload = [(config.as_dict(), i) for i in range(config.n_densities)]
+    payload = [(config, i) for i in range(config.n_densities)]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             outcomes = list(pool.map(_run_one_payload, payload))
@@ -340,22 +350,20 @@ def gaussian_check(config: ExperimentConfig, mean=None, var=None) -> dict:
 
 def dump_trajectories(config: ExperimentConfig, n_paths: int, out_csv,
                       out_json=None) -> dict:
-    """Run one density and write n_paths randomly chosen paths as CSV.
+    """Run one density with n_paths samples and write every path as CSV.
 
-    Returns the straightness diagnostics (also written to ``out_json``).
+    Paths are labelled by sample row, 0..n_paths-1. Returns the straightness
+    diagnostics (also written to ``out_json``).
     """
     if n_paths < 0:
         raise ConfigError(f"n_paths must be >= 0, got {n_paths}")
     run = _pipeline(config, 0, max(n_paths, 1))
-    chooser = np.random.default_rng(_child_seed(config.seed, 0, 2))
-    chosen = sorted(chooser.choice(run.x0.n, size=n_paths, replace=False))
-    states, ids = run.flow.states[:, chosen, :], run.x0.ids[chosen]
-    paths_to_csv(states, run.flow.times, ids, out_csv)
-    # sub-1e-6 chords are transport noise, reported straight
-    diag = straightness_diagnostic(states, chord_floor=1e-6) if n_paths else []
+    states = run.flow.states[:, :n_paths, :]
+    paths_to_csv(states, run.flow.times, out_csv)
+    diag = straightness_diagnostic(states) if n_paths else []
     payload = {
         "density": run.meta,
-        "ids": [int(i) for i in ids],
+        "ids": list(range(n_paths)),
         "straightness": [float(v) for v in diag],
         "clamped_stages": run.flow.clamped,
         "failed_ids": run.flow.failed_ids,

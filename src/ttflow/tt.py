@@ -14,6 +14,7 @@ from .errors import InvalidShapeError, NumericalDomainError
 
 _EXTREMA_PROBES = 4096  # random entries probed by tt_extrema
 _EXTREMA_SWEEPS = 3  # alternating refinement sweeps of tt_extrema
+_FULL_MAX_SIZE = 2**24  # largest tensor TTTensor.full reconstructs
 
 
 class TTTensor:
@@ -59,9 +60,9 @@ class TTTensor:
     def size(self) -> int:
         return int(np.prod([float(n) for n in self.mode_sizes]))
 
-    def full(self, max_size: int = 2**24) -> np.ndarray:
-        """Dense reconstruction; refuses tensors above ``max_size`` entries."""
-        if self.size() > max_size:
+    def full(self) -> np.ndarray:
+        """Dense reconstruction; refuses tensors above ``_FULL_MAX_SIZE`` entries."""
+        if self.size() > _FULL_MAX_SIZE:
             raise InvalidShapeError(f"dense tensor would have {self.size()} entries")
         out = self.cores[0]
         for c in self.cores[1:]:
@@ -72,19 +73,16 @@ class TTTensor:
         return f"TTTensor(sizes={self.mode_sizes}, ranks={self.ranks})"
 
 
-def _chop(sv: np.ndarray, budget: float, max_rank=None) -> int:
+def _chop(sv: np.ndarray, budget: float) -> int:
     """Smallest kept rank with discarded tail below ``budget`` in Frobenius."""
     r = len(sv)
     if budget > 0:
         tails = np.concatenate([np.sqrt(np.cumsum(sv[::-1] ** 2))[::-1], [0.0]])
         r = int(np.searchsorted(-tails, -budget))
-    r = max(r, 1)
-    if max_rank is not None:
-        r = min(r, max_rank)
-    return min(r, len(sv))
+    return min(max(r, 1), len(sv))
 
 
-def tt_from_dense(a: np.ndarray, tol: float = 0.0, max_rank=None) -> TTTensor:
+def tt_from_dense(a: np.ndarray, tol: float = 0.0) -> TTTensor:
     """TT-SVD of a dense array with relative Frobenius accuracy ``tol``.
 
     The truncation budget is split as tol * |A|_F / sqrt(d - 1) per unfolding.
@@ -102,7 +100,7 @@ def tt_from_dense(a: np.ndarray, tol: float = 0.0, max_rank=None) -> TTTensor:
     m = a.reshape(r * sizes[0], -1)
     for k in range(d - 1):
         u, sv, vt = np.linalg.svd(m, full_matrices=False)
-        rk = _chop(sv, budget, max_rank)
+        rk = _chop(sv, budget)
         cores.append(u[:, :rk].reshape(r, sizes[k], rk))
         m = (sv[:rk, None] * vt[:rk]).reshape(rk * sizes[k + 1], -1)
         r = rk

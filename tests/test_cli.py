@@ -22,6 +22,15 @@ def test_validation_error_exits_2(capsys):
     assert main(["run", "--dim", "1", "--grid", "32", "--steps", "8",
                  "--family", "gaussian"]) == 2
     assert "d must be >= 2" in capsys.readouterr().err
+    assert main(["run", *TOY_FLAGS, "--t-max", "nan"]) == 2
+    assert "t_max must be finite" in capsys.readouterr().err
+    gauss = ["gaussian-check", "--dim", "2", "--grid", "32", "--steps", "8"]
+    assert main([*gauss, "--var", "-1", "1"]) == 2
+    assert "gaussian_var must be finite and positive" in capsys.readouterr().err
+    assert main([*gauss, "--mean", "nan", "0"]) == 2
+    assert "gaussian_mean must be finite" in capsys.readouterr().err
+    assert main([*gauss, "--mean", "1", "0", "0"]) == 2
+    assert "gaussian_mean must have length d=2" in capsys.readouterr().err
 
 
 def test_unknown_preset_and_family_rejected(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ttflow import cross
 from ttflow.chebyshev import ChebGrid
 from ttflow.cross import cross_approximate, maxvol
 from ttflow.errors import NumericalDomainError
@@ -28,7 +29,6 @@ def test_cross_recovers_low_rank_tensor():
     res = cross_approximate(f, dense.shape, tol=1e-11, max_rank=10,
                             rng=np.random.default_rng(2))
     assert res.converged
-    assert not res.rank_capped
     assert res.val_error <= 1e-11
     assert max(res.tensor.ranks) <= max(ref.ranks) + 2
     err = np.linalg.norm(res.tensor.full() - dense) / np.linalg.norm(dense)
@@ -59,29 +59,40 @@ def test_cross_on_smooth_density_grid():
     assert err <= 1e-7
 
 
-def test_cross_rank_cap_flag():
+def test_cross_rank_cap_flag(monkeypatch):
     rng = np.random.default_rng(5)
     dense = rng.standard_normal((12, 12, 12))  # full-rank noise
 
     def f(idx):
         return dense[idx[:, 0], idx[:, 1], idx[:, 2]]
 
+    monkeypatch.setattr(cross, "_MAX_SWEEPS", 8)
     res = cross_approximate(f, dense.shape, tol=1e-10, max_rank=3,
-                            rng=np.random.default_rng(6), max_sweeps=8)
+                            rng=np.random.default_rng(6))
     assert not res.converged
-    assert res.rank_capped
-    assert res.max_rank_reached <= 3
+    assert max(res.tensor.ranks) <= 3
+    # ranks 2 -> 3 take two sweeps; the cap stops the loop before the budget
+    assert res.sweeps < 8
 
 
-def test_cross_rejects_non_finite_values():
+def test_cross_one_mode_takes_one_sweep():
+    vals = np.array([0.5, 1.0, 2.0, 4.0, 3.0, 1.5, 0.25])
+
+    res = cross_approximate(lambda idx: vals[idx[:, 0]], vals.shape, tol=1e-12,
+                            rng=np.random.default_rng(0))
+    assert res.converged and res.sweeps == 1 and res.val_error == 0.0
+    assert np.array_equal(res.tensor.full(), vals)
+
+
+def test_cross_rejects_non_finite_values(monkeypatch):
     def f(idx):
         vals = np.ones(idx.shape[0])
         vals[(idx[:, 0] == 2) & (idx[:, 1] == 3)] = np.nan
         return vals
 
+    monkeypatch.setattr(cross, "_VALIDATION_SIZE", 2000)
     with pytest.raises(NumericalDomainError) as exc:
-        cross_approximate(f, (6, 6), tol=1e-8, rng=np.random.default_rng(8),
-                          validation_size=2000)
+        cross_approximate(f, (6, 6), tol=1e-8, rng=np.random.default_rng(8))
     assert exc.value.index == (2, 3)
 
 
@@ -105,15 +116,15 @@ def test_cross_evaluates_each_index_once():
     assert err <= 1e-8
 
 
-def test_cross_evals_bounded_by_grid_size():
+def test_cross_evals_bounded_by_grid_size(monkeypatch):
     # 2000 validation draws and every sweep land on only 36 distinct nodes
     dense = np.fromfunction(lambda i, j: 1.0 / (1.0 + i + j), (6, 6))
 
     def f(idx):
         return dense[idx[:, 0], idx[:, 1]]
 
-    res = cross_approximate(f, (6, 6), tol=1e-8, rng=np.random.default_rng(8),
-                            validation_size=2000)
+    monkeypatch.setattr(cross, "_VALIDATION_SIZE", 2000)
+    res = cross_approximate(f, (6, 6), tol=1e-8, rng=np.random.default_rng(8))
     assert 0 < res.n_evals <= 36
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ttflow import densities
 from ttflow.chebyshev import ChebGrid, interp_value_and_grad
 from ttflow.densities import (CertifiedDensity, MixtureSpec, QuarticComponent,
                               diag_gaussian_tt, gen_quartic_mixture,
@@ -126,7 +127,7 @@ def test_certify_standard_gaussian_no_rescale():
     assert abs(_mass(res.tensor, grid) - 1.0) < 1e-10
 
 
-def test_certify_wide_gaussian_rescales():
+def test_certify_wide_gaussian_rescales(monkeypatch):
     # boundary ratio exp(-2) at sigma=4 fails the 1e-12 bar until the extent
     # has shrunk by 0.8^6
     grid = ChebGrid.uniform(2, 64, -8.0, 8.0)
@@ -138,18 +139,17 @@ def test_certify_wide_gaussian_rescales():
     assert res.rescales == 6
     assert res.boundary_ratio <= 1e-12
     assert abs(_mass(res.tensor, grid) - 1.0) < 1e-10
+    monkeypatch.setattr(densities, "_MAX_RESCALES", 0)
     with pytest.raises(CertificateError):
-        normalize_and_certify(wide, grid, max_rescales=0)
+        normalize_and_certify(wide, grid)
 
 
-def test_certify_wide_tt_input_truncates():
-    # a TT input cannot be re-evaluated beyond the box, so shrinking it
-    # truncates: faces go exactly to zero after one rescale
+def test_certify_wide_tt_input_raises():
+    # a TT input has no values beyond the box to shrink from: its walls read
+    # exp(-2) of the peak at sigma=4, and certification fails outright
     grid = ChebGrid.uniform(2, 64, -8.0, 8.0)
-    res = normalize_and_certify(diag_gaussian_tt(grid, 0.0, 16.0), grid)
-    assert res.rescales >= 1
-    assert res.boundary_ratio <= 1e-12
-    assert abs(_mass(res.tensor, grid) - 1.0) < 1e-10
+    with pytest.raises(CertificateError, match="TT input"):
+        normalize_and_certify(diag_gaussian_tt(grid, 0.0, 16.0), grid)
 
 
 def test_certify_mixture_callable():
@@ -159,12 +159,15 @@ def test_certify_mixture_callable():
     assert abs(_mass(res.tensor, grid) - 1.0) < 1e-10
     assert res.boundary_ratio <= 1e-12
     assert res.cross_info.converged
-    # held-out pointwise agreement with the callable, up to the global
-    # normalization constant picked up inside
+    # held-out pointwise agreement with the callable, normalized by its own
+    # quadrature mass on the grid
+    xg, yg = np.meshgrid(grid.nodes(0), grid.nodes(1), indexing="ij")
+    on_grid = f(np.column_stack([xg.ravel(), yg.ravel()])).reshape(xg.shape)
+    mass = grid.quad_weights(0) @ on_grid @ grid.quad_weights(1)
     rng = np.random.default_rng(8)
     x = rng.uniform(-4, 4, size=(300, 2))
     approx = interp_value_and_grad(res.tensor, grid, x)[0]
-    exact = f(x) / res.mass_before
+    exact = f(x) / mass
     scale = np.abs(exact).max()
     assert np.abs(approx - exact).max() <= 1e-7 * scale
 

@@ -25,7 +25,6 @@ def test_sampler_gaussian_moments():
     n = 20_000
     cloud = sample_tt(p, grid, n, seed=123)
     assert cloud.n == n and cloud.d == 2
-    assert np.array_equal(cloud.ids, np.arange(n))
     assert np.abs(cloud.points.mean(axis=0)).max() < 3 / np.sqrt(n)
     cov = np.cov(cloud.points.T)
     assert np.abs(np.diag(cov) - 1).max() < 0.05
@@ -107,7 +106,34 @@ def test_flow_stationary_fixed_points():
     res = flow_integrate(traj, x0)
     assert np.abs(res.x1.points - x0.points).max() < 1e-6
     assert res.failed_ids == []
-    assert np.array_equal(res.x1.ids, x0.ids)
+
+
+def test_flow_reports_a_failed_path_by_row():
+    # N(0, I) is stationary (score -x), except that one point's score turns
+    # NaN from snapshot 4 on
+    bad_row, bad_x = 3, np.array([2.5, -1.5])
+
+    class Stationary:
+        n_steps, h, box = 8, 0.1, (-8.0, 8.0)
+
+        def score_at(self, m, x):
+            s = -x
+            if m >= 4:
+                s[np.all(x == bad_x, axis=1)] = np.nan
+            return s
+
+    pts = np.random.default_rng(2).standard_normal((6, 2))
+    pts[bad_row] = bad_x
+    res = flow_integrate(Stationary(), PointCloud(points=pts))
+    assert res.failed_ids == [bad_row]
+    # step j reads snapshots 2j..2j+2 and writes state j+1, so step 1 is the
+    # first to read snapshot 4 and state 2 the first to hold NaN
+    assert np.array_equal(res.states[:2, bad_row], [bad_x, bad_x])
+    assert np.isnan(res.states[2:, bad_row]).all()
+    assert np.isnan(res.x1.points[bad_row]).all()
+    others = np.arange(6) != bad_row
+    assert np.isfinite(res.states[:, others]).all()
+    assert np.array_equal(res.x1.points[others], pts[others])
 
 
 def test_flow_mean_only_translation():
@@ -253,7 +279,7 @@ def test_paths_csv(tmp_path):
     x0 = PointCloud(points=np.array([[0.5, -0.5]]))
     res = flow_integrate(provider, x0)
     out = tmp_path / "paths.csv"
-    paths_to_csv(res.states, res.times, x0.ids, out)
+    paths_to_csv(res.states, res.times, out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "id,t,x_1,x_2"
     assert len(lines) == 1 + 3  # t = 0, 0.5, 1
@@ -264,7 +290,7 @@ def test_paths_csv(tmp_path):
     assert float(last[1]) == pytest.approx(1.0)
     assert [float(v) for v in last[2:]] == res.x1.points[0].tolist()
     empty = tmp_path / "empty.csv"
-    paths_to_csv(np.empty((3, 0, 3)), res.times, [], empty)
+    paths_to_csv(np.empty((3, 0, 3)), res.times, empty)
     assert empty.read_text().strip() == "id,t,x_1,x_2,x_3"
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ttflow import fpe
-from ttflow.chebyshev import ChebGrid, interp_value_and_grad
+from ttflow.chebyshev import ChebGrid, interp_matrix, interp_value_and_grad
 from ttflow.cross import cross_approximate
 from ttflow.densities import diag_gaussian_tt, gen_quartic_mixture, normalize_and_certify
 from ttflow.errors import ConfigError, InvalidShapeError
@@ -57,7 +57,7 @@ def test_convection_matches_characteristics():
     # the interpolation error here is 1.13e-10 (dense quadrature)
     assert rel_l2_distance(out, ref, grid) < 2e-10
     # the dilation rows are exactly the rows interpolated at the scaled nodes
-    rows = grid.interp_rows(0, np.exp(h) * grid.nodes(0), outside="zero")
+    rows = interp_matrix(128, -8.0, 8.0, np.exp(h) * grid.nodes(0), outside="zero")
     assert np.array_equal(_dilation_rows(128, -8.0, 8.0, h), rows)
     # divergence form conserves mass
     w = [grid.quad_weights(0)]
@@ -76,8 +76,13 @@ def test_convection_agrees_with_cross_realization():
     gain = np.exp(grid.d * h)
 
     def f(idx):
-        return gain * interp_value_and_grad(p, grid, scale * grid.index_to_point(idx),
-                                            outside="zero")[0]
+        # the interpolant at the scaled nodes, 0 beyond the box
+        x = scale * grid.index_to_point(idx)
+        v = np.ones((x.shape[0], 1))
+        for k, core in enumerate(p.cores):
+            w = interp_matrix(grid.ns[k], grid.a, grid.b, x[:, k], outside="zero")
+            v = np.einsum("pr,pj,rjs->ps", v, w, core)
+        return gain * v[:, 0]
 
     res = cross_approximate(f, grid.mode_sizes, tol=1e-10, max_rank=10,
                             rng=np.random.default_rng(0))

@@ -29,7 +29,14 @@ def test_config_validation():
                 dict(TOY, d=4, family="quartic-mixture"),
                 dict(TOY, n_samples=0), dict(TOY, n_densities=0),
                 dict(TOY, workers=0), dict(TOY, box=(3.0, -3.0)),
-                dict(TOY, m_steps=9)]:
+                dict(TOY, m_steps=9), dict(TOY, t_max=float("nan")),
+                dict(TOY, t_max=float("inf")), dict(TOY, box=(-8.0, float("inf"))),
+                dict(TOY, box=(float("nan"), 8.0)),
+                dict(TOY, gaussian_mean=(0.0, 0.0, 0.0)),
+                dict(TOY, gaussian_var=(1.0,)),
+                dict(TOY, gaussian_mean=(float("nan"), 0.0)),
+                dict(TOY, gaussian_var=(-1.0, 1.0)), dict(TOY, gaussian_var=(0.0, 1.0)),
+                dict(TOY, gaussian_var=(float("inf"), 1.0))]:
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
 

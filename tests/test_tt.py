@@ -35,13 +35,6 @@ def test_from_dense_respects_tolerance():
     del w
 
 
-def test_from_dense_max_rank_cap():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((9, 9, 9))
-    t = tt_from_dense(a, tol=0.0, max_rank=4)
-    assert max(t.ranks) <= 4
-
-
 def test_round_error_bound_and_rank_monotonicity():
     rng = np.random.default_rng(3)
     for _ in range(25):
@@ -145,9 +138,9 @@ def test_constructor_validation():
 
 def test_full_guards_size():
     t = TTTensor([np.ones((1, 400, 1)), np.ones((1, 400, 1)),
-                  np.ones((1, 400, 1))])
+                  np.ones((1, 400, 1))])  # 6.4e7 entries, above 2**24
     with pytest.raises(InvalidShapeError):
-        t.full(max_size=10**6)
+        t.full()
 
 
 def test_weighted_inner_matches_dense():

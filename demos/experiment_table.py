@@ -14,9 +14,9 @@ per density); the default shrinks the grids so the demo finishes in ~20 s.
 """
 
 import argparse
-import json
 import os
 import tempfile
+from dataclasses import replace
 
 from ttflow import ExperimentConfig, aggregate_table, run_suite
 
@@ -46,7 +46,7 @@ with tempfile.TemporaryDirectory() as tmp:
     paths = []
     for cfg in configs:
         out = os.path.join(tmp, f"d{cfg.d}")
-        summary = run_suite(ExperimentConfig(**{**cfg.as_dict(), "out": out}))
+        summary = run_suite(replace(cfg, out=out))
         print(f"d={cfg.d}: {summary['status']}, max eps_rel "
               f"{summary['epsilon_rel_max']:.3e}, "
               f"{summary['timings']['suite_s']:.1f} s")

@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .errors import ConfigError
-from .harness import (FAMILIES, PRESETS, aggregate_table, config_from_dict,
-                      dump_trajectories, gaussian_check, run_suite)
+from .harness import (FAMILIES, PRESETS, ExperimentConfig, aggregate_table,
+                      config_from_dict, dump_trajectories, gaussian_check, run_suite)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -46,9 +47,7 @@ def _build_config(args, default_family=None):
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
-    keys = ("d", "n_grid", "m_steps", "t_max", "box", "n_samples",
-            "n_densities", "family", "seed", "workers", "out")
-    overrides = {k: getattr(args, k, None) for k in keys}
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
     if args.box is not None:
         overrides["box"] = tuple(args.box)
     if args.preset is not None:

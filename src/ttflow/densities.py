@@ -19,8 +19,7 @@ import numpy as np
 from .chebyshev import ChebGrid, cheb_nodes, cc_weights
 from .cross import cross_approximate
 from .errors import CertificateError, InvalidShapeError
-from .tt import TTTensor, tt_extrema, tt_integrate, tt_scale
-from .tt import tt_mode_apply  # noqa: F401  perfbench/spans.py traces it by this name
+from .tt import TTTensor, tt_extrema, tt_integrate, tt_mode_apply, tt_scale
 
 # quadrature resolution used for per-component normalizers; quartic
 # exponentials on [-8, 8] are fully resolved well before this
@@ -189,19 +188,10 @@ class CertifiedDensity(NamedTuple):
 
 def _face_abs_max(t: TTTensor, mode: int, side: int, rng) -> float:
     """Largest |value| on the boundary face where ``mode`` is pinned to ``side``."""
-    idx = 0 if side == 0 else t.mode_sizes[mode] - 1
-    mat = t.cores[mode][:, idx, :]
-    cores = [c for j, c in enumerate(t.cores) if j != mode]
-    if not cores:
-        return abs(float(mat[0, 0]))
-    if mode < t.d - 1:
-        cores[mode] = np.einsum("ab,bnc->anc", mat, cores[mode])
-    else:
-        cores[-1] = np.einsum("anb,bc->anc", cores[-1], mat)
-    face = TTTensor(cores)
+    pin = np.eye(t.mode_sizes[mode])[[0 if side == 0 else -1]]  # one-hot 1 x n row
+    face = tt_mode_apply(t, pin, mode)
     if face.size() <= 2 ** 20:
-        full = face.full()
-        return float(np.abs(full).max())
+        return float(np.abs(face.full()).max())
     lo, hi = tt_extrema(face, rng)
     return max(abs(lo), abs(hi))
 

@@ -26,7 +26,7 @@ from .errors import ConfigError
 from .flow import (FlowResult, PointCloud, flow_integrate, paths_to_csv,
                    sample_tt, straightness_diagnostic)
 from .fpe import DensityTrajectory, fpe_solve, rel_l2_distance
-from .gaussian import GaussianSpec, encoder_map, finite_time_map
+from .gaussian import GaussianSpec, encoder_map, finite_time_map, moments_at
 from .tt import tt_integrate, tt_scale
 from .transport import compare
 
@@ -102,9 +102,6 @@ class ExperimentConfig:
 
     def grid(self) -> ChebGrid:
         return ChebGrid.uniform(self.d, self.n_grid, self.box[0], self.box[1])
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
@@ -232,7 +229,7 @@ def run_one(config: ExperimentConfig, index: int) -> dict:
     """Full pipeline for density ``index``; returns the per-density report."""
     run = _pipeline(config, index, config.n_samples)
     t0 = time.perf_counter()
-    report = compare(run.x0.points, run.flow.x1.points).as_dict()
+    report = asdict(compare(run.x0.points, run.flow.x1.points))
     compare_s = time.perf_counter() - t0
     report.update(
         index=index,
@@ -241,7 +238,7 @@ def run_one(config: ExperimentConfig, index: int) -> dict:
               "score_floor_hits": run.traj.floor_hits},
         solver={"rank_max": max(max(r) for r in run.traj.ranks),
                 "mass_loss_max": max(abs(1.0 - m) for m in run.traj.masses[1:])},
-        config=config.as_dict(),
+        config=asdict(config),
     )
     report["timings"].update(run.timings, compare_s=compare_s,
                              total_s=sum(run.timings.values()) + compare_s)
@@ -281,7 +278,7 @@ def run_suite(config: ExperimentConfig) -> dict:
     status = "ok" if len(failures) <= 0.1 * config.n_densities else "failed"
     summary = {
         "status": status,
-        "config": config.as_dict(),
+        "config": asdict(config),
         "n_completed": len(reports),
         "n_failed": len(failures),
         "failures": failures,
@@ -318,13 +315,11 @@ def gaussian_check(config: ExperimentConfig, mean=None, var=None) -> dict:
                   gaussian_var=tuple(var) if var is not None else config.gaussian_var)
     run = _pipeline(cfg, 0, cfg.n_samples)
     grid, traj = run.traj.grid, run.traj
-    mean_v, var_v = np.array(run.meta["mean"]), np.array(run.meta["var"])
     weights = [grid.quad_weights(k) for k in range(grid.d)]
     l2 = []
     for m in range(traj.n_steps + 1):
-        t = m * traj.h
-        ref = diag_gaussian_tt(grid, np.exp(-t) * mean_v,
-                               1 + np.exp(-2 * t) * (var_v - 1))
+        mean_t, cov_t = moments_at(run.spec, m * traj.h)
+        ref = diag_gaussian_tt(grid, mean_t, np.diag(cov_t))
         ref = tt_scale(ref, 1.0 / tt_integrate(ref, weights))
         l2.append(rel_l2_distance(traj.snapshots[m], ref, grid))
     rep = compare(run.x0.points, run.flow.x1.points)
@@ -332,14 +327,14 @@ def gaussian_check(config: ExperimentConfig, mean=None, var=None) -> dict:
     at_t_max = finite_time_map(run.spec, x0, cfg.t_max)
     limit = encoder_map(run.spec, x0)
     return {
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "mean": run.meta["mean"],
         "var": run.meta["var"],
         "l2_per_step": [float(v) for v in l2],
         "l2_max": float(max(l2)),
         "map_discrepancy_finite": _max_gap(x1, at_t_max),
         "map_discrepancy_limit": _max_gap(x1, limit),
-        "limit_bound": float(np.exp(-cfg.t_max) * np.abs(var_v - 1).max()),
+        "limit_bound": float(np.exp(-cfg.t_max) * np.abs(np.diag(run.spec.cov) - 1).max()),
         "limit_gap": _max_gap(at_t_max, limit),
         "boundary_ratio": run.meta["boundary_ratio"],
         "epsilon_rel": rep.epsilon_rel,
@@ -350,17 +345,16 @@ def gaussian_check(config: ExperimentConfig, mean=None, var=None) -> dict:
 
 def dump_trajectories(config: ExperimentConfig, n_paths: int, out_csv,
                       out_json=None) -> dict:
-    """Run one density with n_paths samples and write every path as CSV.
+    """Run one density with n_paths >= 1 samples and write every path as CSV.
 
     Paths are labelled by sample row, 0..n_paths-1. Returns the straightness
     diagnostics (also written to ``out_json``).
     """
-    if n_paths < 0:
-        raise ConfigError(f"n_paths must be >= 0, got {n_paths}")
-    run = _pipeline(config, 0, max(n_paths, 1))
-    states = run.flow.states[:, :n_paths, :]
-    paths_to_csv(states, run.flow.times, out_csv)
-    diag = straightness_diagnostic(states) if n_paths else []
+    if n_paths < 1:
+        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
+    run = _pipeline(config, 0, n_paths)
+    paths_to_csv(run.flow.states, run.flow.times, out_csv)
+    diag = straightness_diagnostic(run.flow.states)
     payload = {
         "density": run.meta,
         "ids": list(range(n_paths)),

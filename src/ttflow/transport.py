@@ -62,18 +62,6 @@ class TransportReport:
     excluded: int
     timings: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "cost_ot": self.cost_ot,
-            "cost_encoder": self.cost_encoder,
-            "epsilon_rel": self.epsilon_rel,
-            "assignment": list(map(int, self.assignment)),
-            "identity_fraction": self.identity_fraction,
-            "excluded": self.excluded,
-            "timings": dict(self.timings),
-        }
-
 
 def compare(x: np.ndarray, y: np.ndarray) -> TransportReport:
     """Build a :class:`TransportReport` for sources ``x`` paired with ``y``.

@@ -126,6 +126,8 @@ def test_trajectories_command(tmp_path, capsys):
         lines = fh.read().splitlines()
     assert lines[0] == "id,t,x_1,x_2"
     assert len(lines) == 1 + 3 * (8 // 2 + 1)
+    assert main(["trajectories", *TOY_FLAGS, "--paths", "0", "--csv", csv_path]) == 2
+    assert "n_paths must be >= 1" in capsys.readouterr().err
 
 
 def test_table_command(tmp_path, capsys):

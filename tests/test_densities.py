@@ -8,7 +8,7 @@ from ttflow.densities import (CertifiedDensity, MixtureSpec, QuarticComponent,
                               gen_tt_random, mixture_callable,
                               normalize_and_certify)
 from ttflow.errors import CertificateError, InvalidShapeError
-from ttflow.tt import tt_eval, tt_integrate
+from ttflow.tt import TTTensor, tt_eval, tt_extrema, tt_integrate
 
 
 def _mass(t, grid):
@@ -176,3 +176,41 @@ def test_certify_rejects_zero_density():
     grid = ChebGrid.uniform(2, 32, -8.0, 8.0)
     with pytest.raises(CertificateError):
         normalize_and_certify(lambda x: np.zeros(x.shape[0]), grid)
+
+
+
+def test_face_abs_max_matches_brute_force(monkeypatch):
+    def check(t, mode, side, want, rel):
+        got = densities._face_abs_max(t, mode, side, np.random.default_rng(0))
+        assert got == pytest.approx(want, rel=rel), (t.mode_sizes, mode, side)
+
+    # signed TTs with internal ranks 3, small enough to compare with the
+    # dense array's faces
+    rng = np.random.default_rng(1)
+    for sizes in [(7,), (5, 6), (4, 5, 6)]:
+        ranks = (1,) + (3,) * (len(sizes) - 1) + (1,)
+        t = TTTensor([rng.standard_normal((ranks[k], n, ranks[k + 1]))
+                      for k, n in enumerate(sizes)])
+        dense = t.full()
+        for mode in range(t.d):
+            for side, idx in ((0, 0), (1, -1)):
+                check(t, mode, side, np.abs(np.take(dense, idx, axis=mode)).max(), 1e-14)
+
+    # each face of a 12^7 tensor has 12^6 > 2^20 entries, so it goes to
+    # tt_extrema; on a positive rank-1 tensor the alternating search is
+    # exact, and the face maximum is the pinned value times the other
+    # modes' maxima
+    vecs = [rng.uniform(0.1, 1.0, size=12) for _ in range(7)]
+    t = TTTensor([v.reshape(1, -1, 1) for v in vecs])
+    searched = []
+
+    def spy(face, gen):
+        searched.append(face.size())
+        return tt_extrema(face, gen)
+
+    monkeypatch.setattr(densities, "tt_extrema", spy)
+    for mode in range(7):
+        rest = np.prod([v.max() for j, v in enumerate(vecs) if j != mode])
+        for side, idx in ((0, 0), (1, -1)):
+            check(t, mode, side, vecs[mode][idx] * rest, 1e-13)
+    assert searched == [12 ** 6] * 14

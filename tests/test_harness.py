@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def test_run_one_report_schema():
     assert 0.0 <= rep["solver"]["mass_loss_max"] < 1e-3
     assert rep["index"] == 1
     assert rep["epsilon_rel"] >= -1e-12
-    assert rep["config"] == ExperimentConfig(**TOY).as_dict()
+    assert rep["config"] == asdict(ExperimentConfig(**TOY))
     assert rep["density"]["family"] == "quartic-mixture"
     assert rep["density"]["cross_converged"]
     # every cross evaluation is a distinct grid node
@@ -219,15 +220,14 @@ def test_run_one_and_gaussian_check_share_one_pipeline():
     assert rep["density"]["mean"] == check["mean"] == [1.0, 0.0]
 
 
-def test_dump_trajectories_header_only(tmp_path):
+def test_dump_trajectories_rejects_zero_paths(tmp_path):
     cfg = ExperimentConfig(d=2, n_grid=32, m_steps=8, family="gaussian",
                            n_samples=10, n_densities=1, seed=2,
                            gaussian_mean=(0.0, 0.0), gaussian_var=(1.0, 1.0))
     csv_path = tmp_path / "paths.csv"
-    payload = dump_trajectories(cfg, 0, str(csv_path))
-    lines = csv_path.read_text().splitlines()
-    assert lines == ["id,t,x_1,x_2"]
-    assert payload["ids"] == [] and payload["straightness"] == []
+    with pytest.raises(ConfigError, match="n_paths must be >= 1"):
+        dump_trajectories(cfg, 0, str(csv_path))
+    assert not csv_path.exists()
 
 
 def test_dump_trajectories_stationary_is_straight(tmp_path):

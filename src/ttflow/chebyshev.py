@@ -79,8 +79,7 @@ def cc_weights(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
     return w
 
 
-def _barycentric_block(n: int, a: float, b: float, pts: np.ndarray,
-                       outside: str):
+def _barycentric_block(n: int, a: float, b: float, pts: np.ndarray):
     """Unnormalized barycentric rows at ``pts`` and their row sums.
 
     Row i holds C[i, j] = w_j / (pts_i - x_j) for the CGL nodes x of [a, b];
@@ -88,18 +87,14 @@ def _barycentric_block(n: int, a: float, b: float, pts: np.ndarray,
     second barycentric form). A point within 1e-14 of a node, relative to the
     box, gets that node's unit row. Only the two nodes bracketing a point can
     be that close, so hits are found by ``searchsorted`` rather than by a
-    scan of the whole row. ``outside`` controls points beyond [a, b]: "error"
-    raises, "zero" gives an all-zero row whose sum is 0.
+    scan of the whole row. A point beyond [a, b] raises ``DomainBoundsError``.
     """
     pts = np.atleast_1d(np.asarray(pts, dtype=np.float64))
     x = cheb_nodes(n, a, b)
     inside = (pts >= a) & (pts <= b)
-    if outside == "error":
-        if not inside.all():
-            bad = pts[~inside][0]
-            raise DomainBoundsError(f"point {bad} outside [{a}, {b}]")
-    elif outside != "zero":
-        raise ValueError(f"unknown outside mode {outside!r}")
+    if not inside.all():
+        bad = pts[~inside][0]
+        raise DomainBoundsError(f"point {bad} outside [{a}, {b}]")
 
     right = np.clip(np.searchsorted(x, pts), 1, n - 1)
     near = np.stack([right - 1, right])
@@ -111,19 +106,16 @@ def _barycentric_block(n: int, a: float, b: float, pts: np.ndarray,
     np.divide(barycentric_weights(n), c, out=c)
     c[rows] = 0.0
     c[rows, cols] = 1.0
-    c[~inside] = 0.0
     return c, c.sum(axis=1)
 
 
-def interp_matrix(n: int, a: float, b: float, pts: np.ndarray,
-                  outside: str = "error") -> np.ndarray:
+def interp_matrix(n: int, a: float, b: float, pts: np.ndarray) -> np.ndarray:
     """Rows of Lagrange-basis values at ``pts`` for the CGL grid of [a, b].
 
-    ``outside`` controls points beyond [a, b]: "error" raises, "zero" gives an
-    all-zero row (used where clamping a decayed density to 0 is intended).
+    Points beyond [a, b] raise ``DomainBoundsError``.
     """
-    c, s = _barycentric_block(n, a, b, pts, outside)
-    np.divide(c, s[:, None], out=c, where=s[:, None] != 0)
+    c, s = _barycentric_block(n, a, b, pts)
+    c /= s[:, None]
     return c
 
 
@@ -206,7 +198,7 @@ def interp_value_and_grad(tt, grid: ChebGrid, x: np.ndarray, _cores=None):
     factors, dfactors = [], []
     for k, core in enumerate(tt.cores):
         r, n, s = core.shape
-        c, sums = _barycentric_block(n, grid.a, grid.b, x[:, k], "error")
+        c, sums = _barycentric_block(n, grid.a, grid.b, x[:, k])
         both = c @ _cores[k]
         both /= sums[:, None]
         factors.append(both[:, :r * s].reshape(m, r, s))

@@ -92,8 +92,7 @@ def _cmd_trajectories(args) -> int:
     cfg = _build_config(args)
     payload = dump_trajectories(cfg, args.paths, args.csv, out_json=args.report)
     print(f"wrote {len(payload['ids'])} paths to {args.csv}")
-    if payload["straightness"]:
-        print(f"max straightness deviation: {max(payload['straightness']):.3e}")
+    print(f"max straightness deviation: {max(payload['straightness']):.3e}")
     return 0
 
 

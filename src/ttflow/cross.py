@@ -20,6 +20,7 @@ from .tt import TTTensor, tt_eval
 
 _VALIDATION_SIZE = 1000  # held-out random indices scoring each sweep
 _START_RANK = 2  # internal ranks of the first sweep
+_MAX_RANK = 30  # internal ranks never grow past this
 _MAX_SWEEPS = 60  # sweeps before giving up on the tolerance
 _MAXVOL_TOL = 1.05  # maxvol stops once no coefficient exceeds this
 _MAXVOL_ITERS = 100  # row swaps per maxvol call
@@ -117,21 +118,19 @@ def _random_rows(rng, sizes, count, existing=None) -> np.ndarray:
     return np.stack(rows[:count])
 
 
-def cross_approximate(f, mode_sizes, tol: float, max_rank: int = 30,
-                      rng=None) -> CrossResult:
+def cross_approximate(f, mode_sizes, tol: float,
+                      rng: np.random.Generator) -> CrossResult:
     """Approximate ``f`` on the index grid by a TT tensor.
 
     Stops once the relative l2 error on ``_VALIDATION_SIZE`` held-out random
     indices is <= tol; otherwise bumps every internal rank by one and resweeps
-    until every rank reaches ``max_rank`` or ``_MAX_SWEEPS`` sweeps have run.
+    until every rank reaches ``_MAX_RANK`` or ``_MAX_SWEEPS`` sweeps have run.
     Without convergence it returns the best sweep, ``converged`` false.
     """
     sizes = tuple(int(n) for n in mode_sizes)
     d = len(sizes)
     if d < 1 or any(n < 1 for n in sizes):
         raise InvalidShapeError(f"bad mode sizes {sizes}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     evals = 0
     # values seen so far, keyed by flat grid index (so the grid must have
     # fewer than 2**63 nodes) and sorted by key
@@ -162,7 +161,7 @@ def cross_approximate(f, mode_sizes, tol: float, max_rank: int = 30,
     val_ref = call(val_idx)
     val_scale = np.linalg.norm(val_ref)
 
-    caps = [1] + [min(max_rank, math.prod(sizes[:k]), math.prod(sizes[k:]))
+    caps = [1] + [min(_MAX_RANK, math.prod(sizes[:k]), math.prod(sizes[k:]))
                   for k in range(1, d)] + [1]
 
     right = [None] * (d + 1)

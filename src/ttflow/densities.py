@@ -25,7 +25,6 @@ from .tt import TTTensor, tt_extrema, tt_integrate, tt_mode_apply, tt_scale
 # exponentials on [-8, 8] are fully resolved well before this
 _NORM_N = 72
 
-CROSS_MAX_RANK = 30  # rank cap of the cross approximation
 BOUNDARY_TOL = 1e-12  # largest boundary-face node value over the peak node value
 _MAX_RESCALES = 10  # shrinks of a callable density before certification fails
 
@@ -240,8 +239,7 @@ def normalize_and_certify(density, grid: ChebGrid, *, cross_tol: float = 1e-8,
         return density(grid.index_to_point(idx) / scale)
 
     for attempt in range(_MAX_RESCALES + 1):
-        res = cross_approximate(f, grid.mode_sizes, tol=cross_tol,
-                                max_rank=CROSS_MAX_RANK, rng=rng)
+        res = cross_approximate(f, grid.mode_sizes, tol=cross_tol, rng=rng)
         t, ratio = _normalized_ratio(res.tensor, weights, rng)
         if ratio <= BOUNDARY_TOL:
             return CertifiedDensity(t, attempt, ratio, res)

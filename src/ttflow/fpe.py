@@ -51,9 +51,14 @@ def _heat_propagator(n: int, a: float, b: float, tau: float) -> np.ndarray:
 
 
 def _dilation_rows(n: int, a: float, b: float, h: float) -> np.ndarray:
-    """Interpolation rows at the scaled nodes e^h x of one mode; nodes pushed
-    outside the box read 0 (the density is certified to have decayed there)."""
-    return interp_matrix(n, a, b, np.exp(h) * cheb_nodes(n, a, b), outside="zero")
+    """Interpolation rows at the scaled nodes e^h x of one mode; a node pushed
+    past a wall gets an all-zero row (the boundary certificate says the
+    density has decayed there)."""
+    pts = np.exp(h) * cheb_nodes(n, a, b)
+    inside = (pts >= a) & (pts <= b)
+    rows = np.zeros((n, n))
+    rows[inside] = interp_matrix(n, a, b, pts[inside])
+    return rows
 
 
 @functools.lru_cache(maxsize=32)
@@ -80,7 +85,7 @@ class DensityTrajectory:
     ranks: list = field(default_factory=list)
     floor_hits: int = 0
     floor: float = field(init=False)
-    _cores: dict = field(default_factory=dict, repr=False)
+    _cached: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
         _, peak = tt_extrema(self.snapshots[0], np.random.default_rng(0))
@@ -98,15 +103,12 @@ class DensityTrajectory:
         """grad log p_m at points x of shape (n, d), floored away from 0/0."""
         if not 0 <= m <= self.n_steps:
             raise InvalidShapeError(f"snapshot {m} outside 0..{self.n_steps}")
-        cores = self._cores.get(m)
-        if cores is None:
-            # a flow step reads snapshots 2j, 2j+1, 2j+2 in that order and the
-            # next starts at 2j+2, so keeping two builds each snapshot once
-            if len(self._cores) >= 2:
-                del self._cores[next(iter(self._cores))]
-            cores = self._cores[m] = value_grad_cores(self.snapshots[m], self.grid)
+        # the flow reads snapshots 2j, 2j+1, 2j+1, 2j+2 and the next step
+        # starts at 2j+2, so one cached snapshot builds each one once
+        if self._cached[0] != m:
+            self._cached = (m, value_grad_cores(self.snapshots[m], self.grid))
         vals, grads = interp_value_and_grad(self.snapshots[m], self.grid, x,
-                                            _cores=cores)
+                                            _cores=self._cached[1])
         self.floor_hits += int((vals < self.floor).sum())
         return grads / np.maximum(vals, self.floor)[:, None]
 

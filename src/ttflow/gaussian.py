@@ -25,7 +25,8 @@ class GaussianSpec:
 
     mean: np.ndarray
     cov: np.ndarray
-    _eig: tuple = field(init=False, repr=False, compare=False)
+    eigvals: np.ndarray = field(init=False, repr=False, compare=False)
+    eigvecs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
@@ -42,19 +43,12 @@ class GaussianSpec:
             raise InvalidShapeError(f"covariance not positive definite: {lam.min()}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
-        object.__setattr__(self, "_eig", (lam, vec))
+        object.__setattr__(self, "eigvals", lam)
+        object.__setattr__(self, "eigvecs", vec)
 
     @property
     def d(self) -> int:
         return self.mean.size
-
-    @property
-    def eigvals(self) -> np.ndarray:
-        return self._eig[0]
-
-    @property
-    def eigvecs(self) -> np.ndarray:
-        return self._eig[1]
 
 
 def moments_at(spec: GaussianSpec, t: float):
@@ -82,15 +76,14 @@ def eigen_shift(lam, t: float):
     and f = ``eigen_stretch``; the antiderivative -exp(-s)/sqrt(u(s)) of the
     integrand collapses it to exp(-t) - f.
     """
-    g = np.exp(-t) - eigen_stretch(lam, t)
-    return g if np.ndim(lam) else float(g)
+    return np.exp(-t) - eigen_stretch(lam, t)
 
 
 def finite_time_map(spec: GaussianSpec, x: np.ndarray, t: float) -> np.ndarray:
     """Probability-flow transport of points ``x`` from time 0 to time ``t``."""
     lam, vec = spec.eigvals, spec.eigvecs
     f = eigen_stretch(lam, t)
-    g = np.atleast_1d(eigen_shift(lam, t))
+    g = eigen_shift(lam, t)
     lin = (vec * f) @ vec.T
     off = (vec * g) @ vec.T @ spec.mean
     x = np.asarray(x, dtype=np.float64)

@@ -56,18 +56,23 @@ class ExperimentConfig:
     gaussian_var: tuple = None
 
     def __post_init__(self):
-        box = self.box
-        if box is None:
+        for name in ("d", "n_grid", "m_steps", "n_samples", "n_densities", "seed",
+                     "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.box is None:
             # at +-12 every Gaussian the family draws (|mean| <= 1, var <= 2)
             # has decayed to <= 7.3e-14 of its peak at the walls
             wall = 12.0 if self.family == "gaussian" else 8.0
-            box = (-wall, wall)
-        box = tuple(float(v) for v in box)
-        object.__setattr__(self, "box", box)
-        if self.gaussian_mean is not None:
-            object.__setattr__(self, "gaussian_mean", tuple(map(float, self.gaussian_mean)))
-        if self.gaussian_var is not None:
-            object.__setattr__(self, "gaussian_var", tuple(map(float, self.gaussian_var)))
+            object.__setattr__(self, "box", (-wall, wall))
+        for name in ("box", "gaussian_mean", "gaussian_var"):
+            value = getattr(self, name)
+            if value is not None:
+                try:
+                    object.__setattr__(self, name, tuple(map(float, value)))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{name} must hold numbers, got {value!r}") from exc
         if self.d < 2:
             raise ConfigError(f"d must be >= 2, got {self.d}")
         if self.n_grid < 8:
@@ -77,10 +82,10 @@ class ExperimentConfig:
                               f"got {self.m_steps}")
         if not (np.isfinite(self.t_max) and self.t_max > 0):
             raise ConfigError(f"t_max must be finite and positive, got {self.t_max}")
-        if len(box) != 2 or not np.isfinite(box).all():
-            raise ConfigError(f"box must be two finite numbers, got {box}")
-        if not box[1] > box[0]:
-            raise ConfigError(f"empty box {box}")
+        if len(self.box) != 2 or not np.isfinite(self.box).all():
+            raise ConfigError(f"box must be two finite numbers, got {self.box}")
+        if not self.box[1] > self.box[0]:
+            raise ConfigError(f"empty box {self.box}")
         for name in ("gaussian_mean", "gaussian_var"):
             value = getattr(self, name)
             if value is not None and len(value) != self.d:
@@ -97,6 +102,8 @@ class ExperimentConfig:
             raise ConfigError("quartic-mixture densities are defined for d <= 3")
         if self.n_samples < 1 or self.n_densities < 1:
             raise ConfigError("need n_samples >= 1 and n_densities >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise ConfigError("need workers >= 1")
 
@@ -150,22 +157,19 @@ def _gaussian_params(config: ExperimentConfig, seed: int):
 def _build_density(config: ExperimentConfig, grid: ChebGrid, seed: int):
     """Initial density TT plus generation metadata for the report."""
     meta = {"family": config.family, "density_seed": seed}
-    if config.family == "quartic-mixture":
-        spec, f = gen_quartic_mixture(config.d, seed, box=config.box)
-        res = normalize_and_certify(f, grid, seed=seed)
-        meta.update(k_components=spec.k, rescales=res.rescales,
-                    boundary_ratio=res.boundary_ratio,
-                    cross_converged=bool(res.cross_info.converged),
-                    cross_error=res.cross_info.val_error,
-                    cross_evals=res.cross_info.n_evals,
-                    cross_sweeps=res.cross_info.sweeps,
-                    ranks=list(res.tensor.ranks))
-        return res.tensor, meta, None
-    if config.family == "tt-random":
-        t = gen_tt_random(grid, seed)
-        res = normalize_and_certify(t, grid, seed=seed)
+    if config.family != "gaussian":
+        if config.family == "quartic-mixture":
+            spec, density = gen_quartic_mixture(config.d, seed, box=config.box)
+            meta["k_components"] = spec.k
+        else:
+            density = gen_tt_random(grid, seed)
+        res = normalize_and_certify(density, grid, seed=seed)
         meta.update(rescales=res.rescales, boundary_ratio=res.boundary_ratio,
                     ranks=list(res.tensor.ranks))
+        info = res.cross_info
+        if info is not None:
+            meta.update(cross_converged=bool(info.converged), cross_error=info.val_error,
+                        cross_evals=info.n_evals, cross_sweeps=info.sweeps)
         return res.tensor, meta, None
     # analytic Gaussian: rank-1 by construction and not certified; its
     # closed-form wall ratio (largest wall value over the peak, over modes

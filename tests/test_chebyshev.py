@@ -3,7 +3,7 @@ import pytest
 
 from ttflow.chebyshev import (ChebGrid, barycentric_weights, cc_weights,
                               cheb_nodes, diff_matrix, interp_matrix,
-                              interp_value_and_grad)
+                              interp_value_and_grad, value_grad_cores)
 from ttflow.errors import DomainBoundsError, InvalidShapeError
 from ttflow.fpe import DensityTrajectory, fpe_solve
 from ttflow.tt import tt_from_dense, tt_integrate, tt_scale
@@ -76,21 +76,19 @@ def test_interp_matrix_spectral_accuracy():
 
 
 def test_interp_matrix_outside_modes():
-    with pytest.raises(DomainBoundsError):
-        interp_matrix(9, -1.0, 1.0, np.array([1.5]))
-    m = interp_matrix(9, -1.0, 1.0, np.array([1.5, 0.25]), outside="zero")
-    assert np.all(m[0] == 0.0)
-    assert m[1].sum() == pytest.approx(1.0, abs=1e-13)
+    for pts in ([1.5], [-1.0 - 1e-15], [0.25, 1.5], [1.5, 0.25, -0.5]):
+        with pytest.raises(DomainBoundsError):
+            interp_matrix(9, -1.0, 1.0, np.array(pts))
 
 
-def _reference_interp_matrix(n, a, b, pts, outside="error"):
+def _reference_interp_matrix(n, a, b, pts):
     # textbook barycentric rows with a full m x n hit scan: the reference
     # that the bracketing-node hit search must match bit for bit
     pts = np.atleast_1d(np.asarray(pts, dtype=np.float64))
     x = cheb_nodes(n, a, b)
     w = barycentric_weights(n)
     inside = (pts >= a) & (pts <= b)
-    if outside == "error" and not inside.all():
+    if not inside.all():
         raise DomainBoundsError("outside")
     diff = pts[:, None] - x[None, :]
     hit = np.abs(diff) < 1e-14 * max(abs(a), abs(b), 1.0)
@@ -103,7 +101,6 @@ def _reference_interp_matrix(n, a, b, pts, outside="error"):
         m[exact] = 0.0
         rows, cols = np.nonzero(hit)
         m[rows, cols] = 1.0
-    m[~inside] = 0.0
     return m
 
 
@@ -122,9 +119,12 @@ def test_interp_matrix_matches_reference_bit_for_bit():
     rng = np.random.default_rng(17)
     for n, a, b in ((2, -1.0, 1.0), (9, -2.0, 2.0), (50, -8.0, 8.0), (250, -8.0, 8.0)):
         for name, pts in _point_sets(n, a, b, rng).items():
-            mode = "zero" if name == "outside" else "error"
-            got = interp_matrix(n, a, b, pts, outside=mode)
-            assert np.array_equal(got, _reference_interp_matrix(n, a, b, pts, mode)), (n, name)
+            if name == "outside":
+                with pytest.raises(DomainBoundsError):
+                    interp_matrix(n, a, b, pts)
+                continue
+            got = interp_matrix(n, a, b, pts)
+            assert np.array_equal(got, _reference_interp_matrix(n, a, b, pts)), (n, name)
 
 
 def _explicit_value_and_grad(t, grid, x):
@@ -178,7 +178,10 @@ def test_score_cache_matches_fresh_evaluation():
         assert np.array_equal(got, fresh.score_at(m, x)), m
         vals, grads = interp_value_and_grad(traj.snapshots[m], grid, x)
         assert np.array_equal(got, grads / vals[:, None]), m
-        assert len(traj._cores) <= 2
+        held, cores = traj._cached
+        assert held == m
+        for c, ref in zip(cores, value_grad_cores(traj.snapshots[m], grid)):
+            assert np.array_equal(c, ref), m
     assert traj.floor_hits == 0
 
 

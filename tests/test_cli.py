@@ -33,6 +33,19 @@ def test_validation_error_exits_2(capsys):
     assert "gaussian_mean must have length d=2" in capsys.readouterr().err
 
 
+def test_bad_seed_and_box_exit_2_with_one_error_line(tmp_path, capsys):
+    assert main(["run", *TOY_FLAGS, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: seed must be >= 0, got -1"]
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"d": 2, "n_grid": 32, "m_steps": 8,
+                                "family": "quartic-mixture", "box": ["a", "b"]}))
+    assert main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: box must hold numbers")
+
+
 def test_unknown_preset_and_family_rejected(capsys):
     assert main(["run", "--config", "/nonexistent/missing.json"]) == 2
     assert "cannot read config file" in capsys.readouterr().err

@@ -26,8 +26,7 @@ def test_cross_recovers_low_rank_tensor():
     def f(idx):
         return dense[idx[:, 0], idx[:, 1], idx[:, 2]]
 
-    res = cross_approximate(f, dense.shape, tol=1e-11, max_rank=10,
-                            rng=np.random.default_rng(2))
+    res = cross_approximate(f, dense.shape, tol=1e-11, rng=np.random.default_rng(2))
     assert res.converged
     assert res.val_error <= 1e-11
     assert max(res.tensor.ranks) <= max(ref.ranks) + 2
@@ -47,8 +46,7 @@ def test_cross_on_smooth_density_grid():
     def f(idx):
         return density(grid.index_to_point(idx))
 
-    res = cross_approximate(f, grid.ns, tol=1e-8, max_rank=30,
-                            rng=np.random.default_rng(3))
+    res = cross_approximate(f, grid.ns, tol=1e-8, rng=np.random.default_rng(3))
     assert res.converged
     assert res.val_error <= 1e-8
     # independent check on fresh random points
@@ -67,8 +65,8 @@ def test_cross_rank_cap_flag(monkeypatch):
         return dense[idx[:, 0], idx[:, 1], idx[:, 2]]
 
     monkeypatch.setattr(cross, "_MAX_SWEEPS", 8)
-    res = cross_approximate(f, dense.shape, tol=1e-10, max_rank=3,
-                            rng=np.random.default_rng(6))
+    monkeypatch.setattr(cross, "_MAX_RANK", 3)
+    res = cross_approximate(f, dense.shape, tol=1e-10, rng=np.random.default_rng(6))
     assert not res.converged
     assert max(res.tensor.ranks) <= 3
     # ranks 2 -> 3 take two sweeps; the cap stops the loop before the budget
@@ -106,8 +104,7 @@ def test_cross_evaluates_each_index_once():
         seen.append(np.ravel_multi_index(tuple(idx.T), dense.shape))
         return dense[idx[:, 0], idx[:, 1], idx[:, 2]]
 
-    res = cross_approximate(f, dense.shape, tol=1e-10, max_rank=10,
-                            rng=np.random.default_rng(12))
+    res = cross_approximate(f, dense.shape, tol=1e-10, rng=np.random.default_rng(12))
     assert res.sweeps > 1 and len(seen) > 1
     flat = np.concatenate(seen)
     assert np.unique(flat).size == flat.size
@@ -152,7 +149,6 @@ def test_cross_interpolates_exact_values_at_pivots():
     def f(idx):
         return dense[idx[:, 0], idx[:, 1]]
 
-    res = cross_approximate(f, dense.shape, tol=1e-9, max_rank=12,
-                            rng=np.random.default_rng(11))
+    res = cross_approximate(f, dense.shape, tol=1e-9, rng=np.random.default_rng(11))
     assert res.converged
     assert np.abs(res.tensor.full() - dense).max() <= 1e-8 * np.abs(dense).max()

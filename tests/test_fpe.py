@@ -56,9 +56,14 @@ def test_convection_matches_characteristics():
     ref = diag_gaussian_tt(grid, 0.0, sigma2 * np.exp(-2 * h))
     # the interpolation error here is 1.13e-10 (dense quadrature)
     assert rel_l2_distance(out, ref, grid) < 2e-10
-    # the dilation rows are exactly the rows interpolated at the scaled nodes
-    rows = interp_matrix(128, -8.0, 8.0, np.exp(h) * grid.nodes(0), outside="zero")
-    assert np.array_equal(_dilation_rows(128, -8.0, 8.0, h), rows)
+    # the dilation rows are exactly the rows interpolated at the scaled nodes,
+    # and all zero at the nodes pushed past a wall
+    pts = np.exp(h) * grid.nodes(0)
+    inside = (pts >= -8.0) & (pts <= 8.0)
+    assert not inside.all()
+    got = _dilation_rows(128, -8.0, 8.0, h)
+    assert np.array_equal(got[inside], interp_matrix(128, -8.0, 8.0, pts[inside]))
+    assert np.all(got[~inside] == 0.0)
     # divergence form conserves mass
     w = [grid.quad_weights(0)]
     assert abs(tt_integrate(out, w) - tt_integrate(p, w)) <= 1e-8
@@ -80,11 +85,13 @@ def test_convection_agrees_with_cross_realization():
         x = scale * grid.index_to_point(idx)
         v = np.ones((x.shape[0], 1))
         for k, core in enumerate(p.cores):
-            w = interp_matrix(grid.ns[k], grid.a, grid.b, x[:, k], outside="zero")
+            inside = (x[:, k] >= grid.a) & (x[:, k] <= grid.b)
+            w = np.zeros((x.shape[0], grid.ns[k]))
+            w[inside] = interp_matrix(grid.ns[k], grid.a, grid.b, x[inside, k])
             v = np.einsum("pr,pj,rjs->ps", v, w, core)
         return gain * v[:, 0]
 
-    res = cross_approximate(f, grid.mode_sizes, tol=1e-10, max_rank=10,
+    res = cross_approximate(f, grid.mode_sizes, tol=1e-10,
                             rng=np.random.default_rng(0))
     assert res.converged
     err = rel_l2_distance(res.tensor, direct, grid)

@@ -37,7 +37,13 @@ def test_config_validation():
                 dict(TOY, gaussian_var=(1.0,)),
                 dict(TOY, gaussian_mean=(float("nan"), 0.0)),
                 dict(TOY, gaussian_var=(-1.0, 1.0)), dict(TOY, gaussian_var=(0.0, 1.0)),
-                dict(TOY, gaussian_var=(float("inf"), 1.0))]:
+                dict(TOY, gaussian_var=(float("inf"), 1.0)),
+                dict(TOY, seed=-1), dict(TOY, seed=1.5), dict(TOY, d=2.5),
+                dict(TOY, n_grid=32.5), dict(TOY, m_steps=8.0),
+                dict(TOY, n_samples=10.5), dict(TOY, n_densities=1.5),
+                dict(TOY, workers=True), dict(TOY, d=np.float64(2.0)),
+                dict(TOY, box=("a", "b")), dict(TOY, box=8.0),
+                dict(TOY, gaussian_mean=("x", 0)), dict(TOY, gaussian_var=3.0)]:
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
 

@@ -1,7 +1,9 @@
 """Every name a ttflow module imports is referenced in that module.
 
 A name imported only so that something outside the module can find it looks
-alive to a search and hides that nothing in the module calls it.
+alive to a search and hides that nothing in the module calls it. The package
+``__init__`` is the exception: it imports exactly the names in its
+``__all__``.
 """
 
 import ast
@@ -37,3 +39,12 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_dead_imports(path):
     assert _dead_imports(path.read_text()) == []
+
+
+def test_package_imports_match_all():
+    tree = ast.parse(Path(ttflow.__file__).read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    public = [name for name in imported if not name.startswith("_")]
+    assert sorted(public) == sorted(ttflow.__all__)
+    assert len(set(ttflow.__all__)) == len(ttflow.__all__)

@@ -20,9 +20,8 @@ from .fpe import (DensityTrajectory, density_moments, fpe_solve,
                   rel_l2_distance)
 from .flow import (FlowResult, PointCloud, flow_integrate, paths_to_csv,
                    sample_tt, straightness_diagnostic)
-from .gaussian import (AnalyticGaussianFlow, GaussianSpec, eigen_shift,
-                       eigen_stretch, encoder_map, finite_time_map,
-                       gaussian_ot_cost, moments_at)
+from .gaussian import (GaussianSpec, eigen_shift, eigen_stretch, encoder_map,
+                       finite_time_map, moments_at)
 from .harness import (PRESETS, ExperimentConfig, aggregate_table,
                       config_from_dict, dump_trajectories, gaussian_check,
                       run_one, run_suite)
@@ -34,7 +33,7 @@ from .tt import (TTTensor, tt_add, tt_eval, tt_extrema, tt_from_dense,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticGaussianFlow", "CertificateError", "CertifiedDensity", "ChebGrid",
+    "CertificateError", "CertifiedDensity", "ChebGrid",
     "ConfigError", "CrossResult", "DegenerateCostError", "DensityTrajectory",
     "DomainBoundsError", "ExperimentConfig", "FlowResult",
     "GaussianSpec", "InvalidShapeError", "MixtureSpec", "NumericalDomainError",
@@ -43,7 +42,7 @@ __all__ = [
     "config_from_dict", "cross_approximate", "density_moments",
     "diag_gaussian_tt", "dump_trajectories", "eigen_shift", "eigen_stretch",
     "encoder_map", "finite_time_map", "flow_integrate", "fpe_solve",
-    "gaussian_check", "gaussian_ot_cost", "gen_quartic_mixture",
+    "gaussian_check", "gen_quartic_mixture",
     "gen_tt_random", "maxvol", "mixture_callable", "moments_at",
     "normalize_and_certify", "ot_assignment", "paired_cost", "paths_to_csv",
     "rel_l2_distance", "run_one", "run_suite", "sample_tt",

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InvalidShapeError, NumericalDomainError
 from .tt import TTTensor, tt_eval
@@ -26,23 +27,6 @@ _MAXVOL_TOL = 1.05  # maxvol stops once no coefficient exceeds this
 _MAXVOL_ITERS = 100  # row swaps per maxvol call
 
 
-def _greedy_rows(a: np.ndarray, r: int) -> np.ndarray:
-    """Greedy volume-style row seed: pick r rows by norm with deflation."""
-    b = np.array(a)
-    rows = np.empty(r, dtype=np.int64)
-    for i in range(r):
-        norms = np.einsum("ij,ij->i", b, b)
-        pick = int(np.argmax(norms))
-        rows[i] = pick
-        v = b[pick]
-        nv = np.linalg.norm(v)
-        if nv > 0:
-            v = v / nv
-            b -= np.outer(b @ v, v)
-        b[pick] = 0.0
-    return rows
-
-
 def maxvol(a: np.ndarray) -> np.ndarray:
     """Indices of ``r`` quasi-dominant rows of a tall (m, r) matrix."""
     m, r = a.shape
@@ -50,7 +34,8 @@ def maxvol(a: np.ndarray) -> np.ndarray:
         raise InvalidShapeError(f"maxvol needs m >= r, got {a.shape}")
     if m == r:
         return np.arange(r)
-    rows = _greedy_rows(a, r)
+    # pivoted QR of a.T: the greedy largest-norm rows, with deflation
+    rows = scipy.linalg.qr(a.T, mode="r", pivoting=True)[1][:r]
     try:
         c = np.linalg.solve(a[rows].T, a.T).T
     except np.linalg.LinAlgError:
@@ -101,21 +86,15 @@ def _combine(left: np.ndarray, n: int, right: np.ndarray) -> np.ndarray:
 
 def _random_rows(rng, sizes, count, existing=None) -> np.ndarray:
     """``count`` distinct random multi-indices over the grid prod(sizes)."""
-    have = set()
-    rows = []
-    if existing is not None:
-        for r in np.asarray(existing):
-            have.add(tuple(int(v) for v in r))
-            rows.append(np.asarray(r, dtype=np.int64))
+    rows = [] if existing is None else [tuple(int(v) for v in r) for r in existing]
     total = math.prod(int(n) for n in sizes)
-    attempts = 0
-    while len(rows) < count and attempts < 60 * count + 200:
+    for _ in range(60 * count + 200):
+        if len(rows) >= count:
+            break
         cand = tuple(int(rng.integers(0, n)) for n in sizes)
-        if cand not in have or len(have) >= total:
-            have.add(cand)
-            rows.append(np.array(cand, dtype=np.int64))
-        attempts += 1
-    return np.stack(rows[:count])
+        if cand not in rows or len(rows) >= total:
+            rows.append(cand)
+    return np.array(rows[:count], dtype=np.int64)
 
 
 def cross_approximate(f, mode_sizes, tol: float,

@@ -96,37 +96,3 @@ def encoder_map(spec: GaussianSpec, x: np.ndarray) -> np.ndarray:
     isqrt = (vec / np.sqrt(lam)) @ vec.T
     x = np.asarray(x, dtype=np.float64)
     return (x - spec.mean) @ isqrt.T
-
-
-def gaussian_ot_cost(spec: GaussianSpec) -> float:
-    """Squared quadratic-cost transport distance from N(a0, S0) to N(0, I)."""
-    lam = spec.eigvals
-    return float(spec.mean @ spec.mean + lam.sum() + spec.d
-                 - 2 * np.sqrt(lam).sum())
-
-
-class AnalyticGaussianFlow:
-    """Score provider backed by the closed-form Gaussian law.
-
-    Mirrors the interface of a solved density trajectory (``n_steps``, ``h``,
-    ``score_at``): snapshot m is the exact law at time m h, so the flow's
-    stages read exact scores and only its time stepping is measured.
-    """
-
-    box = (-np.inf, np.inf)
-
-    def __init__(self, spec: GaussianSpec, t_max: float, n_steps: int):
-        if t_max <= 0 or n_steps < 1:
-            raise InvalidShapeError("need t_max > 0 and n_steps >= 1")
-        self.spec = spec
-        self.t_max = float(t_max)
-        self.n_steps = int(n_steps)
-        self.h = self.t_max / self.n_steps
-
-    def score_at(self, m: int, x: np.ndarray) -> np.ndarray:
-        if not 0 <= m <= self.n_steps:
-            raise InvalidShapeError(f"snapshot {m} outside 0..{self.n_steps}")
-        mean, cov = moments_at(self.spec, m * self.h)
-        prec = np.linalg.inv(cov)
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return -(x - mean) @ prec.T

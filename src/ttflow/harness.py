@@ -14,7 +14,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from .chebyshev import ChebGrid
 from .densities import (diag_gaussian_tt, gen_quartic_mixture, gen_tt_random,
                         normalize_and_certify)
-from .errors import ConfigError
+from .errors import ConfigError, TTFlowError
 from .flow import (FlowResult, PointCloud, flow_integrate, paths_to_csv,
                    sample_tt, straightness_diagnostic)
 from .fpe import DensityTrajectory, fpe_solve, rel_l2_distance
@@ -70,6 +70,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None:
                 try:
+                    if isinstance(value, str):  # iterable, but of characters
+                        raise TypeError("a string")
                     object.__setattr__(self, name, tuple(map(float, value)))
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{name} must hold numbers, got {value!r}") from exc
@@ -106,6 +108,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise ConfigError("need workers >= 1")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a directory path, got {self.out!r}")
 
     def grid(self) -> ChebGrid:
         return ChebGrid.uniform(self.d, self.n_grid, self.box[0], self.box[1])
@@ -121,16 +125,7 @@ def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
         base = dict(PRESETS[preset])
         base.update(merged)
         merged = base
-    fields = ExperimentConfig.__dataclass_fields__
-    unknown = set(merged) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown config fields {sorted(unknown)}")
-    missing = [k for k, f in fields.items()
-               if f.default is MISSING and f.default_factory is MISSING
-               and k not in merged]
-    if missing:
-        raise ConfigError(f"missing required config fields: {', '.join(missing)}")
-    try:
+    try:  # unknown and missing fields raise TypeError
         return ExperimentConfig(**merged)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
@@ -256,7 +251,7 @@ def _run_one_payload(args):
     config, index = args
     try:
         return run_one(config, index), None
-    except Exception as exc:  # per-density failures are budgeted
+    except (TTFlowError, np.linalg.LinAlgError) as exc:  # budgeted; others propagate
         return None, {"index": index, "error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -290,6 +285,8 @@ def run_suite(config: ExperimentConfig) -> dict:
         "epsilon_rel_min": min(eps) if eps else None,
         "epsilon_rel_median": float(np.median(eps)) if eps else None,
         "identity_fraction_min": min(r["identity_fraction"] for r in reports) if reports else None,
+        "n_cross_unconverged": sum(r["density"].get("cross_converged") is False
+                                   for r in reports),
         "solver": {key: max(s[key] for s in solver) if solver else None
                    for key in ("rank_max", "mass_loss_max")},
         "timings": {"per_density_s": times, "suite_s": time.perf_counter() - t0},

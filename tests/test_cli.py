@@ -4,6 +4,7 @@ import os
 import pytest
 
 from ttflow.cli import main
+from ttflow.errors import NumericalDomainError
 
 TOY_FLAGS = ["--dim", "2", "--grid", "32", "--steps", "8", "--samples", "20",
              "--densities", "2", "--family", "quartic-mixture", "--seed", "5"]
@@ -44,6 +45,12 @@ def test_bad_seed_and_box_exit_2_with_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: box must hold numbers")
+    # a non-path out is rejected before any density runs
+    conf.write_text(json.dumps({"d": 2, "n_grid": 32, "m_steps": 8,
+                                "family": "quartic-mixture", "out": 5}))
+    assert main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: out must be a directory path, got 5"]
 
 
 def test_unknown_preset_and_family_rejected(capsys):
@@ -91,7 +98,7 @@ def test_suite_failure_exits_3(monkeypatch, capsys):
     import ttflow.harness as H
 
     def boom(config, index):
-        raise RuntimeError("boom")
+        raise NumericalDomainError("boom")
 
     monkeypatch.setattr(H, "run_one", boom)
     assert main(["run", *TOY_FLAGS]) == 3
@@ -126,7 +133,8 @@ def test_gaussian_check_needs_no_family(capsys):
 
 def test_run_without_family_reports_missing_field(capsys):
     assert main(["run", "--dim", "2", "--grid", "32", "--steps", "8"]) == 2
-    assert "missing required config fields: family" in capsys.readouterr().err
+    assert ("missing 1 required positional argument: 'family'"
+            in capsys.readouterr().err)
 
 
 def test_trajectories_command(tmp_path, capsys):

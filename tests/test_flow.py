@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from analytic_gaussian import AnalyticGaussianFlow
 from ttflow import flow, fpe
 from ttflow.chebyshev import ChebGrid
 from ttflow.densities import diag_gaussian_tt, gen_quartic_mixture, normalize_and_certify
@@ -8,8 +9,7 @@ from ttflow.errors import ConfigError, InvalidShapeError, SamplingError
 from ttflow.flow import (PointCloud, flow_integrate, paths_to_csv, sample_tt,
                          straightness_diagnostic)
 from ttflow.fpe import fpe_solve
-from ttflow.gaussian import (AnalyticGaussianFlow, GaussianSpec, encoder_map,
-                             finite_time_map)
+from ttflow.gaussian import GaussianSpec, encoder_map, finite_time_map
 from ttflow.tt import TTTensor, tt_integrate, tt_scale
 
 

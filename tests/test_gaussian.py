@@ -3,10 +3,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import sqrtm
 
+from analytic_gaussian import AnalyticGaussianFlow
 from ttflow.errors import InvalidShapeError
-from ttflow.gaussian import (AnalyticGaussianFlow, GaussianSpec, encoder_map,
-                             eigen_shift, eigen_stretch, finite_time_map,
-                             gaussian_ot_cost, moments_at)
+from ttflow.gaussian import (GaussianSpec, encoder_map, eigen_shift,
+                             eigen_stretch, finite_time_map, moments_at)
 
 
 def _random_spec(rng, d):
@@ -113,19 +113,10 @@ def test_map_pushes_law_onto_evolved_moments():
     assert np.abs(np.cov(z.T) - np.eye(3)).max() < 0.04
 
 
-def test_ot_cost_closed_form_and_examples():
-    assert gaussian_ot_cost(GaussianSpec(np.zeros(2), np.diag([4.0, 1.0]))) == pytest.approx(1.0, abs=1e-13)
-    rng = np.random.default_rng(3)
-    spec = _random_spec(rng, 5)
-    # independent route through the matrix square root
-    bures = np.trace(spec.cov) + spec.d - 2 * np.trace(sqrtm(spec.cov)).real
-    expect = spec.mean @ spec.mean + bures
-    assert abs(gaussian_ot_cost(spec) - expect) < 1e-10
-
-
 def test_encoder_attains_the_ot_cost():
     # the whitening map is the optimal coupling: its mean squared
-    # displacement equals the closed-form cost (Monte Carlo, 3 sigma)
+    # displacement equals the closed-form W2^2 to N(0, I), by the Bures
+    # expression |a|^2 + tr S + d - 2 tr S^(1/2) (Monte Carlo, 3 sigma)
     rng = np.random.default_rng(19)
     spec = _random_spec(rng, 4)
     n = 200_000
@@ -133,7 +124,9 @@ def test_encoder_attains_the_ot_cost():
     x = spec.mean + rng.standard_normal((n, 4)) @ chol.T
     disp = ((encoder_map(spec, x) - x) ** 2).sum(axis=1)
     se = disp.std() / np.sqrt(n)
-    assert abs(disp.mean() - gaussian_ot_cost(spec)) < 3 * se + 1e-12
+    cost = (spec.mean @ spec.mean + np.trace(spec.cov) + spec.d
+            - 2 * np.trace(sqrtm(spec.cov)).real)
+    assert abs(disp.mean() - cost) < 3 * se + 1e-12
 
 
 def test_analytic_flow_scores():

@@ -5,7 +5,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from ttflow.errors import ConfigError
+from ttflow import cross
+from ttflow.errors import ConfigError, NumericalDomainError
 from ttflow.harness import (PRESETS, ExperimentConfig, aggregate_table,
                             config_from_dict, dump_trajectories,
                             gaussian_check, run_one, run_suite)
@@ -43,7 +44,10 @@ def test_config_validation():
                 dict(TOY, n_samples=10.5), dict(TOY, n_densities=1.5),
                 dict(TOY, workers=True), dict(TOY, d=np.float64(2.0)),
                 dict(TOY, box=("a", "b")), dict(TOY, box=8.0),
-                dict(TOY, gaussian_mean=("x", 0)), dict(TOY, gaussian_var=3.0)]:
+                dict(TOY, gaussian_mean=("x", 0)), dict(TOY, gaussian_var=3.0),
+                # a string is iterable, but "12" is not the box (1, 2)
+                dict(TOY, box="12"), dict(TOY, family="gaussian", gaussian_mean="10"),
+                dict(TOY, family="gaussian", gaussian_var="12")]:
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
 
@@ -100,6 +104,7 @@ def test_run_suite_reports_and_summary(tmp_path):
     summary = run_suite(ExperimentConfig(**TOY, out=out))
     assert summary["status"] == "ok"
     assert summary["n_completed"] == 3 and summary["n_failed"] == 0
+    assert summary["n_cross_unconverged"] == 0
     assert summary["epsilon_rel_max"] >= -1e-12
     names = sorted(os.listdir(out))
     assert names == ["density_0000.json", "density_0001.json",
@@ -140,9 +145,10 @@ def test_run_suite_failure_budget(monkeypatch):
     def flaky(fail_at):
         def fake(config, index):
             if index in fail_at:
-                raise RuntimeError("boom")
+                raise NumericalDomainError("boom")
             return {"epsilon_rel": 0.0, "identity_fraction": 1.0,
                     "excluded": 0, "index": index, "timings": {"total_s": 0.0},
+                    "density": {"family": "quartic-mixture", "cross_converged": True},
                     "solver": {"rank_max": 1, "mass_loss_max": 0.0}}
         return fake
 
@@ -155,6 +161,26 @@ def test_run_suite_failure_budget(monkeypatch):
     monkeypatch.setattr(H, "run_one", flaky({3, 7}))
     s = run_suite(cfg)
     assert s["status"] == "failed" and s["n_failed"] == 2
+
+
+def test_run_suite_lets_programming_errors_propagate(monkeypatch):
+    # only ttflow's own and linear-algebra errors count against the budget
+    import ttflow.harness as H
+
+    def broken(config, index):
+        raise TypeError("not a density failure")
+
+    monkeypatch.setattr(H, "run_one", broken)
+    with pytest.raises(TypeError, match="not a density failure"):
+        run_suite(ExperimentConfig(**TOY))
+
+
+def test_summary_counts_unconverged_cross(monkeypatch):
+    # at rank 2 no TOY mixture meets the cross tolerance, yet each completes
+    monkeypatch.setattr(cross, "_MAX_RANK", 2)
+    s = run_suite(ExperimentConfig(**TOY))
+    assert s["status"] == "ok" and s["n_completed"] == 3
+    assert s["n_cross_unconverged"] == 3
 
 
 def test_run_suite_parallel_matches_serial():
@@ -287,7 +313,7 @@ def test_aggregate_table_all_densities_failed(monkeypatch, tmp_path):
     import ttflow.harness as H
 
     def fail(config, index):
-        raise RuntimeError("boom")
+        raise NumericalDomainError("boom")
 
     monkeypatch.setattr(H, "run_one", fail)
     out = str(tmp_path / "failed")

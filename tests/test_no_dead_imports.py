@@ -3,7 +3,8 @@
 A name imported only so that something outside the module can find it looks
 alive to a search and hides that nothing in the module calls it. The package
 ``__init__`` is the exception: it imports exactly the names in its
-``__all__``.
+``__all__``, and each of those names must be used by a ttflow module, a
+demo or the acceptance tests, not only by tests of its own behaviour.
 """
 
 import ast
@@ -48,3 +49,34 @@ def test_package_imports_match_all():
     public = [name for name in imported if not name.startswith("_")]
     assert sorted(public) == sorted(ttflow.__all__)
     assert len(set(ttflow.__all__)) == len(ttflow.__all__)
+
+
+def _references(path: Path) -> set:
+    """Names a file loads or reads as attributes, except inside each name's
+    own top-level definition (a recursive call keeps nothing alive)."""
+    refs = set()
+    for stmt in ast.parse(path.read_text()).body:
+        own = set()
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            own = {stmt.name}
+        elif isinstance(stmt, ast.Assign):
+            own = {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name not in own:
+                refs.add(name)
+    return refs
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that only its own tests call belongs in tests/ or nowhere
+    root = Path(ttflow.__file__).resolve().parents[2]
+    users = [*MODULES, *sorted((root / "demos").glob("*.py")),
+             root / "tests" / "test_acceptance.py"]
+    referenced = set().union(*map(_references, users))
+    assert sorted(set(ttflow.__all__) - referenced) == []

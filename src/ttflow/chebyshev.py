@@ -4,7 +4,8 @@ Nodes are Chebyshev-Gauss-Lobatto points mapped affinely to [a, b] and stored
 in ascending order. Differentiation matrices use the barycentric form with the
 negative-sum trick for the diagonal; quadrature weights are Clenshaw-Curtis,
 exact for polynomials of degree <= n-1. Nodes, differentiation matrices and
-weights are cached per (n, a, b) and returned read-only.
+weights are cached per (n, a, b), the values-to-coefficients matrix per n,
+and all are returned read-only.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def barycentric_weights(n: int) -> np.ndarray:
     return w
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=16)  # chopped score grids bring many sizes
 def diff_matrix(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
     """First-derivative collocation matrix on the CGL nodes of [a, b]."""
     x = cheb_nodes(n, a, b)
@@ -77,6 +78,23 @@ def cc_weights(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
     w = w[::-1] * (b - a) / 2.0
     w.flags.writeable = False
     return w
+
+
+@functools.lru_cache(maxsize=16)
+def coeff_matrix(n: int) -> np.ndarray:
+    """Values at the n ascending CGL nodes to the Chebyshev coefficients of
+    their interpolant, c_0..c_{n-1} in the variable mapped to [-1, 1].
+
+    c_k = 2/(n-1) sum'' f(x_j) T_k(x_j), the sum halving its two endpoint
+    terms and c_0, c_{n-1} halved as well (a DCT-I written as a matrix).
+    """
+    j = np.arange(n)
+    # ascending node j is cos(pi (n-1-j) / (n-1)) on [-1, 1]
+    v = np.cos(np.pi * np.outer(j, j[::-1]) / (n - 1)) * (2.0 / (n - 1))
+    v[:, [0, -1]] *= 0.5
+    v[[0, -1]] *= 0.5
+    v.flags.writeable = False
+    return v
 
 
 def _barycentric_block(n: int, a: float, b: float, pts: np.ndarray):

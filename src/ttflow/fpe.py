@@ -13,6 +13,12 @@ dilation x -> exp(-h) x at the cost of the variance factor exp(-2h), and
 tau (1 + exp(-2h)) = (1 - exp(-2h))/2 pins the total added variance to the
 exact 1 - exp(-2h). The residual error is then purely spatial (spectral
 interpolation and rounding), not O(h^2).
+
+Snapshots stay on the full grid. The score of a snapshot is evaluated on a
+coarser copy: each mode is chopped to the Chebyshev degree its data needs
+(the last coefficient above ``CHOP_TOL`` of the largest) and resampled at
+that many CGL nodes. The diffusion smooths every snapshot after the first
+few, so the flow's score evaluations contract far fewer nodes per mode.
 """
 
 from __future__ import annotations
@@ -23,13 +29,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .chebyshev import (ChebGrid, cheb_nodes, diff_matrix, interp_matrix,
-                        interp_value_and_grad, value_grad_cores)
+from .chebyshev import (ChebGrid, cheb_nodes, coeff_matrix, diff_matrix,
+                        interp_matrix, interp_value_and_grad, value_grad_cores)
 from .errors import ConfigError, InvalidShapeError, NumericalDomainError
 from .tt import (TTTensor, tt_add, tt_extrema, tt_integrate, tt_mode_apply,
                  tt_round, tt_scale, tt_weighted_inner)
 
 ROUND_TOL = 1e-10  # relative Frobenius tolerance of the per-step rounding
+CHOP_TOL = 1e-12  # scores drop Chebyshev coefficients below this share of the largest
 SCORE_FLOOR = 1e-12  # scores divide by at least this fraction of p0's peak
 
 
@@ -70,12 +77,36 @@ def _step_matrix(n: int, a: float, b: float, h: float) -> np.ndarray:
     return step
 
 
+def chop_size(values: np.ndarray) -> int:
+    """CGL nodes that resolve the columns of ``values`` (n, c) on n CGL nodes.
+
+    That is 1 + the last degree whose largest Chebyshev coefficient over the
+    columns exceeds ``CHOP_TOL`` times the largest coefficient, and at least
+    2. Coefficients that never decay to the tolerance keep all n nodes.
+    """
+    mags = np.abs(coeff_matrix(values.shape[0]) @ values).max(axis=1)
+    above = np.flatnonzero(mags > CHOP_TOL * mags.max())
+    return max(int(above[-1]) + 1 if above.size else 0, 2)
+
+
+@functools.lru_cache(maxsize=8)
+def _resample_rows(n: int, n_new: int, a: float, b: float) -> np.ndarray:
+    """Interpolation rows from the n CGL nodes of [a, b] to its n_new CGL
+    nodes, read-only. Late snapshots repeat a few sizes, one per mode; the
+    early ones each differ, and a larger cache only holds more memory."""
+    rows = interp_matrix(n, a, b, cheb_nodes(n_new, a, b))
+    rows.flags.writeable = False
+    return rows
+
+
 @dataclass
 class DensityTrajectory:
     """Normalized density snapshots p_m at times m h, m = 0..M.
 
     ``floor`` is ``SCORE_FLOOR`` times the peak of snapshots[0], found once:
-    every snapshot's score divides by at least that value.
+    every snapshot's score divides by at least that value. ``score_at`` reads
+    snapshot m through a copy chopped per mode to ``chop_size`` nodes;
+    ``score_nodes[m]`` holds those per-mode node counts once it is built.
     """
 
     grid: ChebGrid
@@ -85,7 +116,8 @@ class DensityTrajectory:
     ranks: list = field(default_factory=list)
     floor_hits: int = 0
     floor: float = field(init=False)
-    _cached: tuple = field(default=(None, None), init=False, repr=False)
+    score_nodes: dict = field(default_factory=dict, init=False)
+    _cached: tuple = field(default=(None,), init=False, repr=False)
 
     def __post_init__(self):
         _, peak = tt_extrema(self.snapshots[0], np.random.default_rng(0))
@@ -106,11 +138,25 @@ class DensityTrajectory:
         # the flow reads snapshots 2j, 2j+1, 2j+1, 2j+2 and the next step
         # starts at 2j+2, so one cached snapshot builds each one once
         if self._cached[0] != m:
-            self._cached = (m, value_grad_cores(self.snapshots[m], self.grid))
-        vals, grads = interp_value_and_grad(self.snapshots[m], self.grid, x,
-                                            _cores=self._cached[1])
+            self._cached = (m, *self._chopped(m))
+        _, p, grid, cores = self._cached
+        vals, grads = interp_value_and_grad(p, grid, x, _cores=cores)
         self.floor_hits += int((vals < self.floor).sum())
         return grads / np.maximum(vals, self.floor)[:, None]
+
+    def _chopped(self, m: int):
+        """Snapshot m with each mode resampled at its ``chop_size`` nodes, the
+        grid of those nodes and its ``value_grad_cores``."""
+        p, (a, b) = self.snapshots[m], self.box
+        ns = []
+        for k, core in enumerate(self.snapshots[m].cores):
+            r, n, s = core.shape
+            ns.append(chop_size(core.transpose(1, 0, 2).reshape(n, r * s)))
+            if ns[k] < n:
+                p = tt_mode_apply(p, _resample_rows(n, ns[k], a, b), k)
+        grid = ChebGrid(tuple(ns), a, b)
+        self.score_nodes[m] = grid.ns
+        return p, grid, value_grad_cores(p, grid)
 
 
 def fpe_solve(p0: TTTensor, grid: ChebGrid, m_steps: int,

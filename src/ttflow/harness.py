@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
@@ -219,6 +220,29 @@ def _finite_paths(run: _Run):
     return run.x0.points[ok], run.flow.x1.points[ok]
 
 
+def _flow_report(run: _Run) -> dict:
+    """Flow diagnostics of one density.
+
+    ``score_nodes_*`` are the chopped per-mode node counts that the scores
+    were read through (see ``fpe``): the mean over snapshots and modes, and
+    snapshot 0's per mode, a resolution margin (all ``n_grid`` nodes mean
+    the grid barely resolves p0). ``x1_abs_max_over_box`` is the largest
+    coordinate distance of a finite endpoint from the box center over the
+    box half-width (None when no path stayed finite); above 1 a path
+    escaped the box.
+    """
+    nodes = run.traj.score_nodes
+    _, x1 = _finite_paths(run)
+    lo, hi = run.traj.box
+    escape = (float(np.abs(x1 - (lo + hi) / 2.0).max() / ((hi - lo) / 2.0))
+              if len(x1) else None)
+    return {"clamped_stages": run.flow.clamped, "failed_ids": run.flow.failed_ids,
+            "score_floor_hits": run.traj.floor_hits,
+            "score_nodes_mean": float(np.mean(list(nodes.values()))),
+            "score_nodes_p0": list(nodes[0]),
+            "x1_abs_max_over_box": escape}
+
+
 def _max_gap(x: np.ndarray, y: np.ndarray) -> float:
     """Largest row-wise distance between two point sets."""
     return float(np.linalg.norm(x - y, axis=1).max())
@@ -233,8 +257,7 @@ def run_one(config: ExperimentConfig, index: int) -> dict:
     report.update(
         index=index,
         density=run.meta,
-        flow={"clamped_stages": run.flow.clamped, "failed_ids": run.flow.failed_ids,
-              "score_floor_hits": run.traj.floor_hits},
+        flow=_flow_report(run),
         solver={"rank_max": max(max(r) for r in run.traj.ranks),
                 "mass_loss_max": max(abs(1.0 - m) for m in run.traj.masses[1:])},
         config=asdict(config),
@@ -252,7 +275,8 @@ def _run_one_payload(args):
     try:
         return run_one(config, index), None
     except (TTFlowError, np.linalg.LinAlgError) as exc:  # budgeted; others propagate
-        return None, {"index": index, "error": f"{type(exc).__name__}: {exc}"}
+        return None, {"index": index, "error": f"{type(exc).__name__}: {exc}",
+                      "traceback": traceback.format_exc()}
 
 
 def run_suite(config: ExperimentConfig) -> dict:
@@ -273,6 +297,9 @@ def run_suite(config: ExperimentConfig) -> dict:
 
     eps = [r["epsilon_rel"] for r in reports]
     solver = [r["solver"] for r in reports]
+    p0_nodes = [max(r["flow"]["score_nodes_p0"]) for r in reports]
+    escape = [r["flow"]["x1_abs_max_over_box"] for r in reports
+              if r["flow"]["x1_abs_max_over_box"] is not None]
     times = [r["timings"]["total_s"] for r in reports]
     status = "ok" if len(failures) <= 0.1 * config.n_densities else "failed"
     summary = {
@@ -289,6 +316,9 @@ def run_suite(config: ExperimentConfig) -> dict:
                                    for r in reports),
         "solver": {key: max(s[key] for s in solver) if solver else None
                    for key in ("rank_max", "mass_loss_max")},
+        # worst cases over densities of the flow block's margins
+        "flow": {"score_nodes_p0_max": max(p0_nodes, default=None),
+                 "x1_abs_max_over_box": max(escape, default=None)},
         "timings": {"per_density_s": times, "suite_s": time.perf_counter() - t0},
     }
     if config.out:

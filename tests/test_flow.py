@@ -203,13 +203,13 @@ def test_flow_builds_each_snapshot_once(monkeypatch):
     p0 = _norm_tt(grid, [0.5, 0.0], [1.5, 0.8])
     traj = fpe_solve(p0, grid, m_steps=10, t_max=2.0)
     built = []
-    real = fpe.value_grad_cores
+    real = fpe.DensityTrajectory._chopped
 
-    def counting(p, g):
-        built.append(next(m for m, s in enumerate(traj.snapshots) if s is p))
-        return real(p, g)
+    def counting(self, m):
+        built.append(m)
+        return real(self, m)
 
-    monkeypatch.setattr(fpe, "value_grad_cores", counting)
+    monkeypatch.setattr(fpe.DensityTrajectory, "_chopped", counting)
     flow_integrate(traj, sample_tt(p0, grid, 20, seed=2))
     assert built == list(range(11))
 

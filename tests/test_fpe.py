@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from scipy.fft import dct
 
 from ttflow import fpe
 from ttflow.chebyshev import ChebGrid, interp_matrix, interp_value_and_grad
 from ttflow.cross import cross_approximate
-from ttflow.densities import diag_gaussian_tt, gen_quartic_mixture, normalize_and_certify
+from ttflow.densities import (diag_gaussian_tt, gen_quartic_mixture, gen_tt_random,
+                              normalize_and_certify)
 from ttflow.errors import ConfigError, InvalidShapeError
 from ttflow.flow import flow_integrate, sample_tt
-from ttflow.fpe import (SCORE_FLOOR, DensityTrajectory, _dilation_rows,
-                        _heat_propagator, _step_matrix, density_moments,
-                        fpe_solve, rel_l2_distance)
+from ttflow.fpe import (CHOP_TOL, SCORE_FLOOR, DensityTrajectory, _dilation_rows,
+                        _heat_propagator, _resample_rows, _step_matrix,
+                        density_moments, fpe_solve, rel_l2_distance)
 from ttflow.tt import tt_extrema, tt_integrate, tt_mode_apply, tt_scale
 
 
@@ -279,10 +281,14 @@ def test_score_floor_counts_hits():
     traj.score_at(0, np.array([[0.1, 0.2]]))
     assert traj.floor_hits == 2
     # the 4x snapshot is floored at p0's value too, so its score on the zero
-    # column is 4x snapshot 0's there, not equal to it
+    # column is 4x snapshot 0's there, not equal to it. The score reads the
+    # snapshot chopped to its Chebyshev degree (mode 1 is even and drops its
+    # zero top coefficient), so the gradient is that snapshot's
     out_big = traj.score_at(1, pts)
     assert traj.floor_hits == 4
-    vals, grads = interp_value_and_grad(big, grid, pts)
+    _, chopped, chopped_grid, _ = traj._cached
+    assert chopped_grid.ns == (32, 31)
+    vals, grads = interp_value_and_grad(chopped, chopped_grid, pts)
     assert np.all(vals == 0.0) and np.abs(grads[:, 0]).min() > 0
     np.testing.assert_allclose(out_big, grads / traj.floor, rtol=1e-14)
     np.testing.assert_allclose(out_big, 4.0 * out, rtol=1e-14)
@@ -303,6 +309,73 @@ def test_score_floor_peak_is_searched_once_per_trajectory(monkeypatch):
     assert res.failed_ids == []
     assert len(calls) == 1
     assert traj.floor == SCORE_FLOOR * calls[0][1]
+
+
+@pytest.fixture(scope="module")
+def mixture_flow():
+    """A d2 mixture trajectory on 160 nodes, flowed from 200 of its samples."""
+    _, f = gen_quartic_mixture(2, seed=29)
+    grid = ChebGrid.uniform(2, 160, -8.0, 8.0)
+    p0 = normalize_and_certify(f, grid).tensor
+    traj = fpe_solve(p0, grid, m_steps=16, t_max=5.0)
+    return traj, flow_integrate(traj, sample_tt(p0, grid, 200, seed=1))
+
+
+def _full_grid_score(traj, m, x):
+    vals, grads = interp_value_and_grad(traj.snapshots[m], traj.grid, x)
+    return grads / np.maximum(vals, traj.floor)[:, None]
+
+
+def test_chopped_score_matches_full_grid_score(mixture_flow):
+    # at the flow's own states the chopped snapshots' scores stay within
+    # 1e-9 of the largest full-grid score (measured 1e-10 and below)
+    traj, res = mixture_flow
+    for j, x in enumerate(res.states[:-1]):
+        full = _full_grid_score(traj, 2 * j, x)
+        err = np.abs(traj.score_at(2 * j, x) - full).max()
+        assert err <= 1e-9 * np.abs(full).max(), (j, err)
+
+
+def test_late_snapshots_keep_at_most_half_the_nodes(mixture_flow):
+    # the diffusion has smoothed the density by t = 5; a score read on the
+    # full grid again would keep 160 nodes per mode here
+    traj, _ = mixture_flow
+    assert all(n <= 80 for n in traj.score_nodes[traj.n_steps])
+    assert max(traj.score_nodes[0]) > 80
+
+
+def test_chop_keeps_the_last_coefficient_above_tolerance(mixture_flow):
+    # reference coefficients from a DCT-I of the reversed (descending) nodes
+    traj, _ = mixture_flow
+    for m in (0, 1, 8, traj.n_steps):
+        for core, kept in zip(traj.snapshots[m].cores, traj.score_nodes[m]):
+            r, n, s = core.shape
+            vals = core.transpose(1, 0, 2).reshape(n, r * s)[::-1]
+            coef = dct(vals, type=1, axis=0) / (n - 1)
+            coef[[0, -1]] /= 2
+            mags = np.abs(coef).max(axis=1)
+            above = mags > CHOP_TOL * mags.max()
+            assert above[kept - 1] and not above[kept:].any(), (m, kept)
+
+
+def test_undecayed_snapshot_keeps_the_full_grid():
+    # a tt-random density on 12 nodes is nowhere near resolved, so no mode is
+    # chopped and the score is the full-grid interpolant's, bit for bit
+    grid = ChebGrid.uniform(3, 12, -8.0, 8.0)
+    traj = fpe_solve(gen_tt_random(grid, 5), grid, m_steps=4, t_max=1.0)
+    x = np.random.default_rng(2).uniform(-3.0, 3.0, size=(20, 3))
+    for m in range(traj.n_steps + 1):
+        got = traj.score_at(m, x)
+        assert traj.score_nodes[m] == grid.ns
+        assert np.array_equal(got, _full_grid_score(traj, m, x)), m
+
+
+def test_resample_rows_are_cached_and_read_only():
+    rows = _resample_rows(160, 70, -8.0, 8.0)
+    assert _resample_rows(160, 70, -8.0, 8.0) is rows
+    assert not rows.flags.writeable
+    assert np.array_equal(rows, interp_matrix(160, -8.0, 8.0,
+                                              ChebGrid((70,), -8.0, 8.0).nodes(0)))
 
 
 def test_solver_validation():

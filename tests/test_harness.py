@@ -97,6 +97,25 @@ def test_run_one_report_schema():
     assert 0 < rep["density"]["cross_evals"] <= TOY["n_grid"] ** TOY["d"]
     assert rep["density"]["cross_sweeps"] >= 1
     assert rep["timings"]["total_s"] > 0
+    flow = rep["flow"]
+    assert set(flow) == {"clamped_stages", "failed_ids", "score_floor_hits",
+                         "score_nodes_mean", "score_nodes_p0", "x1_abs_max_over_box"}
+    assert 2 <= flow["score_nodes_mean"] <= TOY["n_grid"]
+    assert len(flow["score_nodes_p0"]) == TOY["d"]
+    assert all(2 <= n <= TOY["n_grid"] for n in flow["score_nodes_p0"])
+    assert 0.0 < flow["x1_abs_max_over_box"] < np.inf
+
+
+def test_escaped_paths_read_above_the_box():
+    # TOY density 1 at 500 samples is under-resolved: its paths run off to
+    # ~1e9 (its 25 TOY samples happen to stay inside); a resolved d2 density
+    # ends well inside its box
+    toy = run_one(ExperimentConfig(**dict(TOY, n_samples=500)), 1)
+    assert toy["flow"]["x1_abs_max_over_box"] > 1e3
+    resolved = run_one(ExperimentConfig(d=2, n_grid=64, m_steps=32,
+                                        family="quartic-mixture", n_samples=100,
+                                        n_densities=1, seed=4), 0)
+    assert resolved["flow"]["x1_abs_max_over_box"] < 1.0
 
 
 def test_run_suite_reports_and_summary(tmp_path):
@@ -109,7 +128,7 @@ def test_run_suite_reports_and_summary(tmp_path):
     names = sorted(os.listdir(out))
     assert names == ["density_0000.json", "density_0001.json",
                      "density_0002.json", "summary.json"]
-    eps, solver = [], []
+    eps, solver, flows = [], [], []
     for i in range(3):
         with open(os.path.join(out, f"density_{i:04d}.json")) as fh:
             rep = json.load(fh)
@@ -117,10 +136,14 @@ def test_run_suite_reports_and_summary(tmp_path):
         assert rep["config"]["n_grid"] == TOY["n_grid"]
         eps.append(rep["epsilon_rel"])
         solver.append(rep["solver"])
+        flows.append(rep["flow"])
     assert summary["epsilon_rel_max"] == max(eps)
     assert summary["epsilon_rel_median"] == float(np.median(eps))
     for key in ("rank_max", "mass_loss_max"):
         assert summary["solver"][key] == max(r[key] for r in solver)
+    assert summary["flow"] == {
+        "score_nodes_p0_max": max(max(f["score_nodes_p0"]) for f in flows),
+        "x1_abs_max_over_box": max(f["x1_abs_max_over_box"] for f in flows)}
 
 
 def test_run_suite_reproducible_excluding_timings(tmp_path):
@@ -149,7 +172,8 @@ def test_run_suite_failure_budget(monkeypatch):
             return {"epsilon_rel": 0.0, "identity_fraction": 1.0,
                     "excluded": 0, "index": index, "timings": {"total_s": 0.0},
                     "density": {"family": "quartic-mixture", "cross_converged": True},
-                    "solver": {"rank_max": 1, "mass_loss_max": 0.0}}
+                    "solver": {"rank_max": 1, "mass_loss_max": 0.0},
+                    "flow": {"score_nodes_p0": [32, 32], "x1_abs_max_over_box": 0.5}}
         return fake
 
     cfg = ExperimentConfig(**dict(TOY, n_densities=10))
@@ -161,6 +185,19 @@ def test_run_suite_failure_budget(monkeypatch):
     monkeypatch.setattr(H, "run_one", flaky({3, 7}))
     s = run_suite(cfg)
     assert s["status"] == "failed" and s["n_failed"] == 2
+
+
+def test_budgeted_failure_keeps_its_traceback(monkeypatch):
+    import ttflow.harness as H
+
+    def raising_density(config, index):
+        raise NumericalDomainError("mass went negative")
+
+    monkeypatch.setattr(H, "run_one", raising_density)
+    failure = run_suite(ExperimentConfig(**dict(TOY, n_densities=1)))["failures"][0]
+    assert failure["error"] == "NumericalDomainError: mass went negative"
+    assert "raising_density" in failure["traceback"]
+    assert failure["traceback"].rstrip().endswith(failure["error"])
 
 
 def test_run_suite_lets_programming_errors_propagate(monkeypatch):
@@ -320,6 +357,7 @@ def test_aggregate_table_all_densities_failed(monkeypatch, tmp_path):
     s = run_suite(ExperimentConfig(**dict(TOY, n_densities=2), out=out))
     assert s["status"] == "failed" and s["epsilon_rel_max"] is None
     assert s["solver"] == {"rank_max": None, "mass_loss_max": None}
+    assert s["flow"] == {"score_nodes_p0_max": None, "x1_abs_max_over_box": None}
     table = aggregate_table([os.path.join(out, "summary.json")])
     assert table.splitlines()[2] == (
         "| 2 | 32 | 8 | quartic-mixture | 0 | 25 | n/a | n/a | n/a | n/a | n/a |")

@@ -2,10 +2,11 @@
 
 Nodes are Chebyshev-Gauss-Lobatto points mapped affinely to [a, b] and stored
 in ascending order. Differentiation matrices use the barycentric form with the
-negative-sum trick for the diagonal; quadrature weights are Clenshaw-Curtis,
-exact for polynomials of degree <= n-1. Nodes, differentiation matrices and
-weights are cached per (n, a, b), the values-to-coefficients matrix per n,
-and all are returned read-only.
+negative-sum trick for the diagonal. Quadrature weights are Clenshaw-Curtis,
+exact for polynomials of degree <= n-1: they integrate the interpolant's
+Chebyshev series, read through the values-to-coefficients matrix. Nodes,
+differentiation matrices and weights are cached per (n, a, b), the
+values-to-coefficients matrix per n, and all are returned read-only.
 """
 
 from __future__ import annotations
@@ -57,25 +58,13 @@ def diff_matrix(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def cc_weights(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
-    """Clenshaw-Curtis quadrature weights over [a, b] (ascending node order)."""
-    m = n - 1
-    theta = np.pi * np.arange(m + 1) / m
-    w = np.zeros(m + 1)
-    ii = np.arange(1, m)
-    v = np.ones(m - 1)
-    if m % 2 == 0:
-        w[0] = 1.0 / (m * m - 1)
-        w[m] = w[0]
-        for k in range(1, m // 2):
-            v -= 2.0 * np.cos(2 * k * theta[ii]) / (4 * k * k - 1)
-        v -= np.cos(m * theta[ii]) / (m * m - 1)
-    else:
-        w[0] = 1.0 / (m * m)
-        w[m] = w[0]
-        for k in range(1, (m - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2 * k * theta[ii]) / (4 * k * k - 1)
-    w[ii] = 2.0 * v / m
-    w = w[::-1] * (b - a) / 2.0
+    """Clenshaw-Curtis weights over [a, b] (ascending node order): (b-a)/2
+    coeff_matrix(n)^T mu integrates the interpolant's Chebyshev series, with
+    mu_k = int_{-1}^{1} T_k = 2/(1-k^2) for even k and 0 for odd k."""
+    k = np.arange(0, n, 2)
+    mu = np.zeros(n)
+    mu[k] = 2.0 / (1.0 - k * k)
+    w = (b - a) / 2.0 * (coeff_matrix(n).T @ mu)
     w.flags.writeable = False
     return w
 

@@ -195,9 +195,10 @@ def _face_abs_max(t: TTTensor, mode: int, side: int, rng) -> float:
     return max(abs(lo), abs(hi))
 
 
-def _normalized_ratio(t: TTTensor, weights, rng):
-    """Unit-mass copy of ``t`` and its largest boundary-face value over its peak."""
-    mass = tt_integrate(t, weights)
+def normalized_ratio(t: TTTensor, grid: ChebGrid, rng):
+    """Unit-mass copy of ``t`` on ``grid`` and its largest boundary-face value
+    over its peak: the measurement the boundary certificate judges."""
+    mass = tt_integrate(t, [grid.quad_weights(k) for k in range(grid.d)])
     if not np.isfinite(mass) or mass <= 0:
         raise CertificateError(f"density mass {mass} is not positive")
     t = tt_scale(t, 1.0 / mass)
@@ -221,12 +222,11 @@ def normalize_and_certify(density, grid: ChebGrid, *, cross_tol: float = 1e-8,
     from, so failing the certificate raises at once.
     """
     rng = np.random.default_rng(seed)
-    weights = [grid.quad_weights(k) for k in range(grid.d)]
     if not callable(density):
         if density.mode_sizes != grid.mode_sizes:
             raise InvalidShapeError(
                 f"TT mode sizes {density.mode_sizes} do not match grid {grid.mode_sizes}")
-        t, ratio = _normalized_ratio(density, weights, rng)
+        t, ratio = normalized_ratio(density, grid, rng)
         if ratio > BOUNDARY_TOL:
             raise CertificateError(
                 f"TT input fails the boundary decay certificate "
@@ -240,7 +240,7 @@ def normalize_and_certify(density, grid: ChebGrid, *, cross_tol: float = 1e-8,
 
     for attempt in range(_MAX_RESCALES + 1):
         res = cross_approximate(f, grid.mode_sizes, tol=cross_tol, rng=rng)
-        t, ratio = _normalized_ratio(res.tensor, weights, rng)
+        t, ratio = normalized_ratio(res.tensor, grid, rng)
         if ratio <= BOUNDARY_TOL:
             return CertifiedDensity(t, attempt, ratio, res)
         scale *= 0.8

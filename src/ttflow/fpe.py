@@ -200,29 +200,17 @@ def fpe_solve(p0: TTTensor, grid: ChebGrid, m_steps: int,
 
 
 def density_moments(p: TTTensor, grid: ChebGrid):
-    """Mean vector and covariance matrix of a normalized grid density."""
-    d = grid.d
-    w = [grid.quad_weights(k) for k in range(d)]
-    xs = [grid.nodes(k) for k in range(d)]
-    mass = tt_integrate(p, w)
-    mean = np.empty(d)
-    for i in range(d):
-        wi = [w[k] * xs[k] if k == i else w[k] for k in range(d)]
-        mean[i] = tt_integrate(p, wi) / mass
-    cov = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            wij = []
-            for k in range(d):
-                wk = w[k].copy()
-                if k == i:
-                    wk = wk * xs[k]
-                if k == j:
-                    wk = wk * xs[k]
-                wij.append(wk)
-            second = tt_integrate(p, wij) / mass
-            cov[i, j] = cov[j, i] = second - mean[i] * mean[j]
-    return mean, cov
+    """Mean vector and covariance matrix of a grid density, from one moment rule."""
+    w = [grid.quad_weights(k) for k in range(grid.d)]
+    xs = [grid.nodes(k) for k in range(grid.d)]
+
+    def moment(*axes):
+        return tt_integrate(p, [w[k] * xs[k] ** axes.count(k) for k in range(grid.d)])
+
+    mass = moment()
+    mean = np.array([moment(i) for i in range(grid.d)]) / mass
+    second = np.array([[moment(i, j) for j in range(grid.d)] for i in range(grid.d)])
+    return mean, second / mass - np.outer(mean, mean)
 
 
 def rel_l2_distance(p: TTTensor, q: TTTensor, grid: ChebGrid) -> float:

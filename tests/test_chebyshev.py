@@ -41,9 +41,13 @@ def test_differentiation_exact_on_polynomials():
             assert np.abs(d2 @ p(x) - p.deriv(2)(x)).max() <= 1e-7 * scale
 
 
+def test_quadrature_weights_on_five_nodes():
+    assert np.allclose(cc_weights(5), np.array([1, 8, 12, 8, 1]) / 15, rtol=0, atol=1e-15)
+
+
 def test_quadrature_exact_on_polynomials():
     a, b = -8.0, 8.0
-    for n in (9, 24, 65):
+    for n in range(2, 66):
         w = cc_weights(n, a, b)
         x = cheb_nodes(n, a, b)
         assert w.sum() == pytest.approx(b - a, rel=1e-13)

@@ -12,7 +12,7 @@ from ttflow.flow import flow_integrate, sample_tt
 from ttflow.fpe import (CHOP_TOL, SCORE_FLOOR, DensityTrajectory, _dilation_rows,
                         _heat_propagator, _resample_rows, _step_matrix,
                         density_moments, fpe_solve, rel_l2_distance)
-from ttflow.tt import tt_extrema, tt_integrate, tt_mode_apply, tt_scale
+from ttflow.tt import tt_extrema, tt_from_dense, tt_integrate, tt_mode_apply, tt_scale
 
 
 def _norm_tt(grid, mean, var):
@@ -201,6 +201,18 @@ def test_gaussian_moment_tracking():
         expect_var = 1 + np.exp(-2 * t) * (var0 - 1)
         assert np.abs(np.diag(cov) - expect_var).max() < 1e-4
         assert abs(cov[0, 1]) < 1e-4
+
+
+def test_moments_of_a_correlated_gaussian():
+    # a full-rank TT of a correlated law: the off-diagonal moment mixes modes
+    grid = ChebGrid.uniform(2, 64, -10.0, 10.0)
+    mean = np.array([0.5, -0.3])
+    cov = np.array([[1.0, 0.6], [0.6, 1.5]])
+    x = np.stack(np.meshgrid(grid.nodes(0), grid.nodes(1), indexing="ij"), axis=-1) - mean
+    dense = np.exp(-0.5 * np.einsum("...i,ij,...j->...", x, np.linalg.inv(cov), x))
+    got_mean, got_cov = density_moments(tt_from_dense(dense), grid)
+    assert np.abs(got_mean - mean).max() < 1e-10
+    assert np.abs(got_cov - cov).max() < 1e-10
 
 
 def test_exact_kernel_splitting_has_no_time_step_error():

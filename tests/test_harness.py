@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from ttflow import cross
+from ttflow.densities import diag_gaussian_tt, normalize_and_certify
 from ttflow.errors import ConfigError, NumericalDomainError
-from ttflow.harness import (PRESETS, ExperimentConfig, aggregate_table,
-                            config_from_dict, dump_trajectories,
+from ttflow.harness import (PRESETS, ExperimentConfig, _build_density, _child_seed,
+                            aggregate_table, config_from_dict, dump_trajectories,
                             gaussian_check, run_one, run_suite)
 
 TOY = dict(d=2, n_grid=32, m_steps=8, family="quartic-mixture",
@@ -47,9 +48,13 @@ def test_config_validation():
                 dict(TOY, gaussian_mean=("x", 0)), dict(TOY, gaussian_var=3.0),
                 # a string is iterable, but "12" is not the box (1, 2)
                 dict(TOY, box="12"), dict(TOY, family="gaussian", gaussian_mean="10"),
-                dict(TOY, family="gaussian", gaussian_var="12")]:
+                dict(TOY, family="gaussian", gaussian_var="12"),
+                dict(TOY, t_max="5"), dict(TOY, t_max=None), dict(TOY, t_max=True)]:
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
+    with pytest.raises(ConfigError, match="t_max"):
+        config_from_dict(dict(TOY, t_max="5"))
+    assert type(ExperimentConfig(**dict(TOY, t_max=2)).t_max) is float
 
 
 def test_presets_match_experiment_table():
@@ -160,6 +165,18 @@ def test_run_suite_reproducible_excluding_timings(tmp_path):
             r2 = _strip_timings(json.load(fh))
         r1["config"]["out"] = r2["config"]["out"] = ""
         assert r1 == r2
+
+
+def test_run_suite_rejects_an_unusable_out_before_any_density(monkeypatch, tmp_path):
+    import ttflow.harness as H
+
+    calls = []
+    monkeypatch.setattr(H, "run_one", lambda config, index: calls.append(index))
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    with pytest.raises(ConfigError, match="output directory"):
+        run_suite(ExperimentConfig(**TOY, out=str(blocker)))
+    assert calls == []
 
 
 def test_run_suite_failure_budget(monkeypatch):
@@ -287,6 +304,22 @@ def test_run_one_and_gaussian_check_share_one_pipeline():
     assert rep["map_discrepancy"] == check["map_discrepancy_finite"]
     assert rep["epsilon_rel"] == check["epsilon_rel"]
     assert rep["density"]["mean"] == check["mean"] == [1.0, 0.0]
+    # unit mass and wall ratio are the certificate's, on the same seed
+    seed = _child_seed(cfg.seed, 0, 0)
+    cert = normalize_and_certify(diag_gaussian_tt(cfg.grid(), (1.0, 0.0), (2.0, 0.5)),
+                                 cfg.grid(), seed=seed)
+    assert rep["density"]["boundary_ratio"] == check["boundary_ratio"] == cert.boundary_ratio
+    p0 = _build_density(cfg, cfg.grid(), seed)[0]
+    assert all(np.array_equal(c, e) for c, e in zip(p0.cores, cert.tensor.cores))
+
+
+def test_gaussian_walls_are_measured_not_enforced():
+    # criterion 2's walls at +-8 sit at e^-12.25 = 4.785e-6 of its peak, far
+    # above the certificate's bar, yet the check runs and reports the ratio
+    cfg = ExperimentConfig(d=2, n_grid=64, m_steps=8, family="gaussian",
+                           n_samples=20, n_densities=1, seed=3, box=(-8.0, 8.0))
+    rep = gaussian_check(cfg, mean=(1.0, 0.0), var=(2.0, 0.5))
+    assert rep["boundary_ratio"] == pytest.approx(4.785e-6, rel=1e-3)
 
 
 def test_dump_trajectories_rejects_zero_paths(tmp_path):

@@ -73,10 +73,21 @@ def _references(path: Path) -> set:
     return refs
 
 
-def test_every_public_name_has_a_caller():
-    # a public name that only its own tests call belongs in tests/ or nowhere
+def _referenced() -> set:
+    """Names the src modules, the demos and the acceptance tests reference."""
     root = Path(ttflow.__file__).resolve().parents[2]
     users = [*MODULES, *sorted((root / "demos").glob("*.py")),
              root / "tests" / "test_acceptance.py"]
-    referenced = set().union(*map(_references, users))
-    assert sorted(set(ttflow.__all__) - referenced) == []
+    return set().union(*map(_references, users))
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that only its own tests call belongs in tests/ or nowhere
+    assert sorted(set(ttflow.__all__) - _referenced()) == []
+
+
+def test_every_top_level_definition_has_a_caller():
+    # a renamed or emptied helper must not survive on its own tests alone
+    defined = {stmt.name for path in MODULES for stmt in ast.parse(path.read_text()).body
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    assert sorted(defined - _referenced()) == []

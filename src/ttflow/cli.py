@@ -48,14 +48,9 @@ def _build_config(args, default_family=None):
         if not isinstance(data, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
     overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
-    if args.box is not None:
-        overrides["box"] = tuple(args.box)
-    if args.preset is not None:
-        overrides["preset"] = args.preset
-    elif (default_family is not None and overrides.get("family") is None
-          and "family" not in data):
-        overrides["family"] = default_family
-    return config_from_dict(data, **overrides)
+    if args.preset is None and "family" not in data:
+        overrides["family"] = overrides["family"] or default_family
+    return config_from_dict(data, preset=args.preset, **overrides)
 
 
 def _cmd_run(args) -> int:
@@ -73,7 +68,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_gaussian_check(args) -> int:
     cfg = _build_config(args, default_family="gaussian")
-    rep = gaussian_check(cfg, mean=args.mean, var=args.var)
+    rep = gaussian_check(cfg)
     print(f"mean {rep['mean']}, var {rep['var']}")
     print(f"max per-step relative L2 error: {rep['l2_max']:.3e}")
     print(f"endpoint vs finite-time map:    {rep['map_discrepancy_finite']:.3e}")
@@ -90,7 +85,7 @@ def _cmd_gaussian_check(args) -> int:
 
 def _cmd_trajectories(args) -> int:
     cfg = _build_config(args)
-    payload = dump_trajectories(cfg, args.paths, args.csv, out_json=args.report)
+    payload = dump_trajectories(cfg, args.csv, out_json=args.report)
     print(f"wrote {len(payload['ids'])} paths to {args.csv}")
     print(f"max straightness deviation: {max(payload['straightness']):.3e}")
     return 0
@@ -114,15 +109,15 @@ def main(argv=None) -> int:
     p_g = sub.add_parser("gaussian-check",
                          help="compare the pipeline against the Gaussian closed form")
     _add_config_flags(p_g)
-    p_g.add_argument("--mean", type=float, nargs="+", help="Gaussian mean (d floats)")
-    p_g.add_argument("--var", type=float, nargs="+",
+    p_g.add_argument("--mean", type=float, nargs="+", dest="gaussian_mean",
+                     help="Gaussian mean (d floats)")
+    p_g.add_argument("--var", type=float, nargs="+", dest="gaussian_var",
                      help="Gaussian per-axis variances (d floats)")
     p_g.add_argument("--report", help="JSON report path")
     p_g.set_defaults(func=_cmd_gaussian_check)
 
     p_t = sub.add_parser("trajectories", help="dump sample flow paths as CSV")
     _add_config_flags(p_t)
-    p_t.add_argument("--paths", type=int, default=20, help="number of paths")
     p_t.add_argument("--csv", required=True, help="output CSV path")
     p_t.add_argument("--report", help="straightness JSON path")
     p_t.set_defaults(func=_cmd_trajectories)

@@ -147,14 +147,15 @@ _BUMPS_PER_MODE = 8
 
 
 def gen_tt_random(grid: ChebGrid, seed: int) -> TTTensor:
-    """Random positive rank-2 TT factor times the standard Gaussian, normalized.
+    """Random positive rank-2 TT factor times the standard Gaussian, unnormalized.
 
-    Each entry of the rank-2 factor's cores is a univariate function built
-    from U(0,1) coefficients on a fixed basis of positive Gaussian bumps, so
-    the factor is strictly positive and smooth. Smoothness matters: cores
-    holding independent per-node values interpolate to polynomials whose
-    log-gradients grow like the square of the grid size, which makes the
-    transport ODE stiff enough to throw sampled points out of the box.
+    ``normalize_and_certify`` gives it unit mass. Each entry of the rank-2
+    factor's cores is a univariate function built from U(0,1) coefficients
+    on a fixed basis of positive Gaussian bumps, so the factor is strictly
+    positive and smooth. Smoothness matters: cores holding independent
+    per-node values interpolate to polynomials whose log-gradients grow like
+    the square of the grid size, which makes the transport ODE stiff enough
+    to throw sampled points out of the box.
     """
     d = grid.d
     if d < 2:
@@ -173,9 +174,7 @@ def gen_tt_random(grid: ChebGrid, seed: int) -> TTTensor:
         q_slice = np.einsum("nj,rsj->rns", basis, coef)
         pdf = np.exp(-0.5 * x ** 2) / np.sqrt(2 * np.pi)
         cores.append(q_slice * pdf.reshape(1, -1, 1))
-    t = TTTensor(cores)
-    mass = tt_integrate(t, [grid.quad_weights(k) for k in range(d)])
-    return tt_scale(t, 1.0 / mass)
+    return TTTensor(cores)
 
 
 class CertifiedDensity(NamedTuple):

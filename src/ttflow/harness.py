@@ -10,6 +10,7 @@ if more than 10% of densities fail.
 
 from __future__ import annotations
 
+import csv
 import json
 import numbers
 import os
@@ -41,6 +42,29 @@ PRESETS = {
 }
 
 
+# the smallest value of each integer config field
+_INT_MIN = {"d": 2, "n_grid": 8, "m_steps": 4, "n_samples": 1, "n_densities": 1,
+            "workers": 1, "seed": 0}
+
+
+def _finite_reals(name: str, value, length: int):
+    """``value`` as ``length`` finite floats, or one float for length 1.
+
+    Bools, strings and None are not numbers here, even inside a sequence.
+    """
+    items = (value,) if length == 1 else value
+    try:
+        ok = not isinstance(items, str) and len(items) == length and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) and np.isfinite(v)
+            for v in items)
+    except TypeError:  # no length
+        ok = False
+    if not ok:
+        what = "a finite number" if length == 1 else f"{length} finite numbers"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return float(items[0]) if length == 1 else tuple(map(float, items))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     d: int
@@ -58,60 +82,34 @@ class ExperimentConfig:
     gaussian_var: tuple = None
 
     def __post_init__(self):
-        for name in ("d", "n_grid", "m_steps", "n_samples", "n_densities", "seed",
-                     "workers"):
+        for name, low in _INT_MIN.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
+        if self.m_steps % 2:
+            raise ConfigError(f"m_steps must be even, got {self.m_steps}")
+        if self.family not in FAMILIES:
+            raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        if self.family == "quartic-mixture" and self.d > 3:
+            raise ConfigError(f"family quartic-mixture is defined for d <= 3, got d={self.d}")
         if self.box is None:
             # at +-12 every Gaussian the family draws (|mean| <= 1, var <= 2)
             # reads a wall ratio <= 7.3e-14 from 64 nodes up (1.5e-13 at 8)
             wall = 12.0 if self.family == "gaussian" else 8.0
             object.__setattr__(self, "box", (-wall, wall))
-        for name in ("box", "gaussian_mean", "gaussian_var"):
+        for name, length in (("t_max", 1), ("box", 2), ("gaussian_mean", self.d),
+                             ("gaussian_var", self.d)):
             value = getattr(self, name)
-            if value is not None:
-                try:
-                    if isinstance(value, str):  # iterable, but of characters
-                        raise TypeError("a string")
-                    object.__setattr__(self, name, tuple(map(float, value)))
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{name} must hold numbers, got {value!r}") from exc
-        if self.d < 2:
-            raise ConfigError(f"d must be >= 2, got {self.d}")
-        if self.n_grid < 8:
-            raise ConfigError(f"spatial grid size must be >= 8, got {self.n_grid}")
-        if self.m_steps < 4 or self.m_steps % 2:
-            raise ConfigError(f"temporal grid size must be even and >= 4, "
-                              f"got {self.m_steps}")
-        if (isinstance(self.t_max, bool) or not isinstance(self.t_max, numbers.Real)
-                or not (np.isfinite(self.t_max) and self.t_max > 0)):
-            raise ConfigError(f"t_max must be finite and positive, got {self.t_max!r}")
-        object.__setattr__(self, "t_max", float(self.t_max))
-        if len(self.box) != 2 or not np.isfinite(self.box).all():
-            raise ConfigError(f"box must be two finite numbers, got {self.box}")
+            if value is not None or name == "t_max":  # None: an unset Gaussian parameter
+                object.__setattr__(self, name, _finite_reals(name, value, length))
+        if self.t_max <= 0:
+            raise ConfigError(f"t_max must be positive, got {self.t_max}")
         if not self.box[1] > self.box[0]:
-            raise ConfigError(f"empty box {self.box}")
-        for name in ("gaussian_mean", "gaussian_var"):
-            value = getattr(self, name)
-            if value is not None and len(value) != self.d:
-                raise ConfigError(f"{name} must have length d={self.d}, got {len(value)}")
-        if self.gaussian_mean is not None and not np.isfinite(self.gaussian_mean).all():
-            raise ConfigError(f"gaussian_mean must be finite, got {self.gaussian_mean}")
-        if self.gaussian_var is not None and not (np.isfinite(self.gaussian_var).all()
-                                                  and min(self.gaussian_var) > 0):
-            raise ConfigError(f"gaussian_var must be finite and positive, "
-                              f"got {self.gaussian_var}")
-        if self.family not in FAMILIES:
-            raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.family == "quartic-mixture" and self.d > 3:
-            raise ConfigError("quartic-mixture densities are defined for d <= 3")
-        if self.n_samples < 1 or self.n_densities < 1:
-            raise ConfigError("need n_samples >= 1 and n_densities >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise ConfigError("need workers >= 1")
+            raise ConfigError(f"box must be increasing, got {self.box}")
+        if self.gaussian_var is not None and min(self.gaussian_var) <= 0:
+            raise ConfigError(f"gaussian_var must be positive, got {self.gaussian_var}")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a directory path, got {self.out!r}")
 
@@ -124,11 +122,9 @@ def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
     merged.update({k: v for k, v in overrides.items() if v is not None})
     preset = merged.pop("preset", None)
     if preset is not None:
-        if preset not in PRESETS:
+        if not isinstance(preset, str) or preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}, have {sorted(PRESETS)}")
-        base = dict(PRESETS[preset])
-        base.update(merged)
-        merged = base
+        merged = {**PRESETS[preset], **merged}
     try:  # unknown and missing fields raise TypeError
         return ExperimentConfig(**merged)
     except TypeError as exc:
@@ -141,16 +137,12 @@ def _child_seed(master: int, index: int, purpose: int) -> int:
 
 
 def _gaussian_params(config: ExperimentConfig, seed: int):
-    if config.gaussian_mean is not None or config.gaussian_var is not None:
-        mean = np.array(config.gaussian_mean if config.gaussian_mean is not None
-                        else (0.0,) * config.d)
-        var = np.array(config.gaussian_var if config.gaussian_var is not None
-                       else (1.0,) * config.d)
-    else:
+    """The configured mean and variances (an unset one is 0 or 1), else a seeded draw."""
+    if config.gaussian_mean is None and config.gaussian_var is None:
         rng = np.random.default_rng(seed)
-        mean = rng.uniform(-1.0, 1.0, size=config.d)
-        var = rng.uniform(0.5, 2.0, size=config.d)
-    return mean, var
+        return rng.uniform(-1.0, 1.0, size=config.d), rng.uniform(0.5, 2.0, size=config.d)
+    return (np.array(config.gaussian_mean or (0.0,) * config.d),
+            np.array(config.gaussian_var or (1.0,) * config.d))
 
 
 def _build_density(config: ExperimentConfig, grid: ChebGrid, seed: int):
@@ -193,7 +185,7 @@ class _Run(NamedTuple):
     timings: dict
 
 
-def _pipeline(config: ExperimentConfig, index: int, n_samples: int) -> _Run:
+def _pipeline(config: ExperimentConfig, index: int) -> _Run:
     """The shared stages for density ``index``, seeded by its child seeds.
 
     Stages are called through this module's names so that a caller (or a
@@ -205,7 +197,7 @@ def _pipeline(config: ExperimentConfig, index: int, n_samples: int) -> _Run:
     t_gen = time.perf_counter()
     traj = fpe_solve(p0, grid, config.m_steps, config.t_max)
     t_solve = time.perf_counter()
-    x0 = sample_tt(p0, grid, n_samples, _child_seed(config.seed, index, 1))
+    x0 = sample_tt(p0, grid, config.n_samples, _child_seed(config.seed, index, 1))
     res = flow_integrate(traj, x0)
     t_flow = time.perf_counter()
     timings = {"generate_s": t_gen - t_start, "solve_s": t_solve - t_gen,
@@ -249,7 +241,7 @@ def _max_gap(x: np.ndarray, y: np.ndarray) -> float:
 
 def run_one(config: ExperimentConfig, index: int) -> dict:
     """Full pipeline for density ``index``; returns the per-density report."""
-    run = _pipeline(config, index, config.n_samples)
+    run = _pipeline(config, index)
     t0 = time.perf_counter()
     report = asdict(compare(run.x0.points, run.flow.x1.points))
     compare_s = time.perf_counter() - t0
@@ -312,13 +304,14 @@ def run_suite(config: ExperimentConfig) -> dict:
         "n_completed": len(reports),
         "n_failed": len(failures),
         "failures": failures,
-        "epsilon_rel_max": max(eps) if eps else None,
-        "epsilon_rel_min": min(eps) if eps else None,
+        "epsilon_rel_max": max(eps, default=None),
+        "epsilon_rel_min": min(eps, default=None),
         "epsilon_rel_median": float(np.median(eps)) if eps else None,
-        "identity_fraction_min": min(r["identity_fraction"] for r in reports) if reports else None,
+        "identity_fraction_min": min((r["identity_fraction"] for r in reports),
+                                     default=None),
         "n_cross_unconverged": sum(r["density"].get("cross_converged") is False
                                    for r in reports),
-        "solver": {key: max(s[key] for s in solver) if solver else None
+        "solver": {key: max((s[key] for s in solver), default=None)
                    for key in ("rank_max", "mass_loss_max")},
         # worst cases over densities of the flow block's margins
         "flow": {"score_nodes_p0_max": max(p0_nodes, default=None),
@@ -345,9 +338,9 @@ def gaussian_check(config: ExperimentConfig, mean=None, var=None) -> dict:
     ``boundary_ratio`` by the certificate's rule (reported, not enforced).
     """
     cfg = replace(config, family="gaussian",
-                  gaussian_mean=tuple(mean) if mean is not None else config.gaussian_mean,
-                  gaussian_var=tuple(var) if var is not None else config.gaussian_var)
-    run = _pipeline(cfg, 0, cfg.n_samples)
+                  gaussian_mean=config.gaussian_mean if mean is None else mean,
+                  gaussian_var=config.gaussian_var if var is None else var)
+    run = _pipeline(cfg, 0)
     grid, traj = run.traj.grid, run.traj
     weights = [grid.quad_weights(k) for k in range(grid.d)]
     l2 = []
@@ -377,21 +370,18 @@ def gaussian_check(config: ExperimentConfig, mean=None, var=None) -> dict:
     }
 
 
-def dump_trajectories(config: ExperimentConfig, n_paths: int, out_csv,
-                      out_json=None) -> dict:
-    """Run one density with n_paths >= 1 samples and write every path as CSV.
+def dump_trajectories(config: ExperimentConfig, out_csv, out_json=None) -> dict:
+    """Run one density with ``config.n_samples`` samples and write every path as CSV.
 
-    Paths are labelled by sample row, 0..n_paths-1. Returns the straightness
+    Paths are labelled by sample row, 0..n_samples-1. Returns the straightness
     diagnostics (also written to ``out_json``).
     """
-    if n_paths < 1:
-        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
-    run = _pipeline(config, 0, n_paths)
+    run = _pipeline(config, 0)
     paths_to_csv(run.flow.states, run.flow.times, out_csv)
     diag = straightness_diagnostic(run.flow.states)
     payload = {
         "density": run.meta,
-        "ids": list(range(n_paths)),
+        "ids": list(range(config.n_samples)),
         "straightness": [float(v) for v in diag],
         "clamped_stages": run.flow.clamped,
         "failed_ids": run.flow.failed_ids,
@@ -400,6 +390,17 @@ def dump_trajectories(config: ExperimentConfig, n_paths: int, out_csv,
         with open(out_json, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
     return payload
+
+
+# (header, row key, format) of each table column; the keys name the CSV fields
+_TABLE_COLUMNS = (
+    ("d", "d", ""), ("Spatial grid", "n_grid", ""), ("Temporal grid", "m_steps", ""),
+    ("Family", "family", ""), ("Densities", "n_densities", ""),
+    ("Samples", "n_samples", ""), ("max eps_rel", "epsilon_rel_max", ".3e"),
+    ("median eps_rel", "epsilon_rel_median", ".3e"),
+    ("mean time (s)", "mean_time_s", ".2f"), ("max rank", "rank_max", "d"),
+    ("max mass loss", "mass_loss_max", ".3e"),
+)
 
 
 def _fmt(value, spec: str) -> str:
@@ -425,23 +426,13 @@ def aggregate_table(summary_paths, out_csv=None) -> str:
             "mass_loss_max": s["solver"]["mass_loss_max"],
         })
     rows.sort(key=lambda r: r["d"])
-    header = ("| d | Spatial grid | Temporal grid | Family | Densities | "
-              "Samples | max eps_rel | median eps_rel | mean time (s) | "
-              "max rank | max mass loss |")
-    sep = "|" + "---|" * 11
-    lines = [header, sep]
-    for r in rows:
-        lines.append(
-            f"| {r['d']} | {r['n_grid']} | {r['m_steps']} | {r['family']} | "
-            f"{r['n_densities']} | {r['n_samples']} | {_fmt(r['epsilon_rel_max'], '.3e')} | "
-            f"{_fmt(r['epsilon_rel_median'], '.3e')} | {_fmt(r['mean_time_s'], '.2f')} | "
-            f"{_fmt(r['rank_max'], 'd')} | {_fmt(r['mass_loss_max'], '.3e')} |")
-    table = "\n".join(lines)
+    lines = ["| " + " | ".join(head for head, _, _ in _TABLE_COLUMNS) + " |",
+             "|" + "---|" * len(_TABLE_COLUMNS)]
+    lines += ["| " + " | ".join(_fmt(r[key], spec) for _, key, spec in _TABLE_COLUMNS) + " |"
+              for r in rows]
     if out_csv:
-        import csv as _csv
-
         with open(out_csv, "w", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer = csv.DictWriter(fh, fieldnames=[key for _, key, _ in _TABLE_COLUMNS])
             writer.writeheader()
             writer.writerows(rows)
-    return table
+    return "\n".join(lines)

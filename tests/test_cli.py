@@ -24,14 +24,14 @@ def test_validation_error_exits_2(capsys):
                  "--family", "gaussian"]) == 2
     assert "d must be >= 2" in capsys.readouterr().err
     assert main(["run", *TOY_FLAGS, "--t-max", "nan"]) == 2
-    assert "t_max must be finite" in capsys.readouterr().err
+    assert "t_max must be a finite number, got nan" in capsys.readouterr().err
     gauss = ["gaussian-check", "--dim", "2", "--grid", "32", "--steps", "8"]
     assert main([*gauss, "--var", "-1", "1"]) == 2
-    assert "gaussian_var must be finite and positive" in capsys.readouterr().err
+    assert "gaussian_var must be positive" in capsys.readouterr().err
     assert main([*gauss, "--mean", "nan", "0"]) == 2
-    assert "gaussian_mean must be finite" in capsys.readouterr().err
+    assert "gaussian_mean must be 2 finite numbers, got [nan, 0.0]" in capsys.readouterr().err
     assert main([*gauss, "--mean", "1", "0", "0"]) == 2
-    assert "gaussian_mean must have length d=2" in capsys.readouterr().err
+    assert "gaussian_mean must be 2 finite numbers" in capsys.readouterr().err
 
 
 def test_bad_seed_and_box_exit_2_with_one_error_line(tmp_path, capsys):
@@ -44,7 +44,7 @@ def test_bad_seed_and_box_exit_2_with_one_error_line(tmp_path, capsys):
     assert main(["run", "--config", str(conf)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: box must hold numbers")
+    assert err.startswith("error: box must be 2 finite numbers")
     # a non-path out is rejected before any density runs
     conf.write_text(json.dumps({"d": 2, "n_grid": 32, "m_steps": 8,
                                 "family": "quartic-mixture", "out": 5}))
@@ -138,17 +138,18 @@ def test_run_without_family_reports_missing_field(capsys):
 
 
 def test_trajectories_command(tmp_path, capsys):
+    # --samples is the one sample count: it overrides TOY_FLAGS' 20
     csv_path = str(tmp_path / "paths.csv")
     code = main(["trajectories", *TOY_FLAGS, "--densities", "1",
-                 "--paths", "3", "--csv", csv_path])
+                 "--samples", "3", "--csv", csv_path])
     assert code == 0
     assert "wrote 3 paths" in capsys.readouterr().out
     with open(csv_path) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "id,t,x_1,x_2"
     assert len(lines) == 1 + 3 * (8 // 2 + 1)
-    assert main(["trajectories", *TOY_FLAGS, "--paths", "0", "--csv", csv_path]) == 2
-    assert "n_paths must be >= 1" in capsys.readouterr().err
+    assert main(["trajectories", *TOY_FLAGS, "--samples", "0", "--csv", csv_path]) == 2
+    assert "n_samples must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_table_command(tmp_path, capsys):

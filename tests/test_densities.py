@@ -110,7 +110,8 @@ def test_tt_random_density_properties():
     grid = ChebGrid.uniform(5, 40, -8.0, 8.0)
     t = gen_tt_random(grid, seed=11)
     assert all(r <= 2 for r in t.ranks)
-    assert abs(_mass(t, grid) - 1.0) < 1e-10
+    # the certificate is the one normalizer
+    assert abs(_mass(normalize_and_certify(t, grid).tensor, grid) - 1.0) < 1e-10
     rng = np.random.default_rng(0)
     idx = np.stack([rng.integers(0, 40, size=500) for _ in range(5)], axis=1)
     assert np.all(tt_eval(t, idx) >= 0)

@@ -7,6 +7,10 @@ exact for polynomials of degree <= n-1: they integrate the interpolant's
 Chebyshev series, read through the values-to-coefficients matrix. Nodes,
 differentiation matrices and weights are cached per (n, a, b), the
 values-to-coefficients matrix per n, and all are returned read-only.
+
+Interpolation uses the second barycentric form: the differences pts_i - x_j
+are the rank-2 product [pts, 1] @ [1; -x], rounded once like the subtraction,
+and the weights (+-1, +-1/2) fold exactly into the matrix that follows.
 """
 
 from __future__ import annotations
@@ -86,34 +90,31 @@ def coeff_matrix(n: int) -> np.ndarray:
     return v
 
 
-def _barycentric_block(n: int, a: float, b: float, pts: np.ndarray):
-    """Unnormalized barycentric rows at ``pts`` and their row sums.
+def _inverse_differences(n: int, a: float, b: float, pts: np.ndarray) -> np.ndarray:
+    """C[i, j] = 1 / (pts_i - x_j) for the CGL nodes x of [a, b]: times the
+    weights w_j and over its row sum, row i holds the Lagrange-basis values.
 
-    Row i holds C[i, j] = w_j / (pts_i - x_j) for the CGL nodes x of [a, b];
-    dividing it by its sum gives the Lagrange-basis values at pts_i (the
-    second barycentric form). A point within 1e-14 of a node, relative to the
-    box, gets that node's unit row. Only the two nodes bracketing a point can
-    be that close, so hits are found by ``searchsorted`` rather than by a
-    scan of the whole row. A point beyond [a, b] raises ``DomainBoundsError``.
+    A point within 1e-14 of a node, relative to the box, gets the row e_j / w_j
+    of that node; only the nearer bracketing node can be that close. A point
+    beyond [a, b] raises ``DomainBoundsError``.
     """
     pts = np.atleast_1d(np.asarray(pts, dtype=np.float64))
+    bad = pts[~((pts >= a) & (pts <= b))]
+    if bad.size:
+        raise DomainBoundsError(f"point {bad[0]} outside [{a}, {b}]")
     x = cheb_nodes(n, a, b)
-    inside = (pts >= a) & (pts <= b)
-    if not inside.all():
-        bad = pts[~inside][0]
-        raise DomainBoundsError(f"point {bad} outside [{a}, {b}]")
-
-    right = np.clip(np.searchsorted(x, pts), 1, n - 1)
-    near = np.stack([right - 1, right])
-    tol = 1e-14 * max(abs(a), abs(b), 1.0)
-    which, rows = np.nonzero(np.abs(pts - x[near]) < tol)
-    cols = near[which, rows]
-    c = pts[:, None] - x
+    near = np.searchsorted(x[1:-1], pts) + 1  # right bracketing node
+    near -= np.abs(pts - x[near - 1]) < np.abs(pts - x[near])
+    rows = np.flatnonzero(np.abs(pts - x[near]) < 1e-14 * max(abs(a), abs(b), 1.0))
+    cols = near[rows]
+    lhs = np.empty((pts.size, 2))
+    lhs[:, 0], lhs[:, 1] = pts, 1.0
+    c = lhs @ np.stack([np.ones(n), -x])
     c[rows, cols] = 1.0  # no zero divisor; hit rows are replaced below
-    np.divide(barycentric_weights(n), c, out=c)
+    np.divide(1.0, c, out=c)
     c[rows] = 0.0
-    c[rows, cols] = 1.0
-    return c, c.sum(axis=1)
+    c[rows, cols] = 1.0 / barycentric_weights(n)[cols]
+    return c
 
 
 def interp_matrix(n: int, a: float, b: float, pts: np.ndarray) -> np.ndarray:
@@ -121,8 +122,9 @@ def interp_matrix(n: int, a: float, b: float, pts: np.ndarray) -> np.ndarray:
 
     Points beyond [a, b] raise ``DomainBoundsError``.
     """
-    c, s = _barycentric_block(n, a, b, pts)
-    c /= s[:, None]
+    c = _inverse_differences(n, a, b, pts)
+    c *= barycentric_weights(n)
+    c /= c.sum(axis=1)[:, None]
     return c
 
 
@@ -167,20 +169,17 @@ class ChebGrid:
     def index_to_point(self, idx: np.ndarray) -> np.ndarray:
         """Map integer multi-indices (m, d) to node coordinates (m, d)."""
         idx = np.atleast_2d(idx)
-        out = np.empty(idx.shape, dtype=np.float64)
-        for k in range(self.d):
-            out[:, k] = self.nodes(k)[idx[:, k]]
-        return out
+        return np.column_stack([self.nodes(k)[idx[:, k]] for k in range(self.d)])
 
 
 def value_grad_cores(tt, grid: ChebGrid) -> list:
-    """Per mode, the core unfolded to n x (r s) next to its derivative:
-    [G_k | D1 G_k], the right-hand side of ``interp_value_and_grad``."""
+    """Per mode, [w G_k | w D1 G_k | w]: the core unfolded to n x (r s), its
+    derivative and ones, row j times the barycentric weight w_j."""
     out = []
     for k, core in enumerate(tt.cores):
-        r, n, s = core.shape
-        gk = core.transpose(1, 0, 2).reshape(n, r * s)
-        out.append(np.concatenate([gk, grid.diff1(k) @ gk], axis=1))
+        gk = core.transpose(1, 0, 2).reshape(core.shape[1], -1)
+        both = np.concatenate([gk, grid.diff1(k) @ gk, np.ones((len(gk), 1))], axis=1)
+        out.append(both * barycentric_weights(len(gk))[:, None])
     return out
 
 
@@ -189,12 +188,12 @@ def interp_value_and_grad(tt, grid: ChebGrid, x: np.ndarray, _cores=None):
 
     Mode k contributes the factor W_k G_k per point, with W_k the
     interpolation rows at x[:, k] and G_k the core unfolded to n x (r s), and
-    the derivative factor W_k (D1 G_k). Both come from one product of the
-    unnormalized barycentric block C_k with [G_k | D1 G_k], each row then
-    divided by C_k's row sum, so W_k itself is never formed. ``_cores`` takes
-    ``value_grad_cores(tt, grid)`` from a caller that evaluates the same
-    tensor many times. Prefix/suffix chain products are shared across modes.
-    Points outside the box raise ``DomainBoundsError``.
+    the derivative factor W_k (D1 G_k). One product of the inverse differences
+    C_k with ``value_grad_cores``' [w G_k | w D1 G_k | w] gives both and, in its
+    last column, the row sums that normalize them, so W_k is never formed.
+    ``_cores`` takes ``value_grad_cores(tt, grid)`` from a caller that evaluates
+    the same tensor many times. Prefix/suffix chain products are shared across
+    modes. Points outside the box raise ``DomainBoundsError``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != grid.d:
@@ -205,19 +204,16 @@ def interp_value_and_grad(tt, grid: ChebGrid, x: np.ndarray, _cores=None):
     factors, dfactors = [], []
     for k, core in enumerate(tt.cores):
         r, n, s = core.shape
-        c, sums = _barycentric_block(n, grid.a, grid.b, x[:, k])
-        both = c @ _cores[k]
-        both /= sums[:, None]
+        both = _inverse_differences(n, grid.a, grid.b, x[:, k]) @ _cores[k]
+        both /= both[:, -1:]
         factors.append(both[:, :r * s].reshape(m, r, s))
-        dfactors.append(both[:, r * s:].reshape(m, r, s))
+        dfactors.append(both[:, r * s:-1].reshape(m, r, s))
     prefix = [np.ones((m, 1))]
     for t in factors:
         prefix.append(np.einsum("pr,prs->ps", prefix[-1], t))
     suffix = [np.ones((m, 1))] * (d + 1)
     for k in range(d - 1, -1, -1):
         suffix[k] = np.einsum("prs,ps->pr", factors[k], suffix[k + 1])
-    vals = prefix[d][:, 0]
-    grads = np.empty((m, d))
-    for k in range(d):
-        grads[:, k] = np.einsum("pr,prs,ps->p", prefix[k], dfactors[k], suffix[k + 1])
-    return vals, grads
+    grads = np.column_stack([np.einsum("pr,prs,ps->p", prefix[k], dfactors[k], suffix[k + 1])
+                             for k in range(d)])
+    return prefix[d][:, 0], grads

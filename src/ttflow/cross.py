@@ -5,7 +5,8 @@ maxvol pivoting; ranks start small and grow one at a time until the relative
 error on a held-out random index set drops below the target or a rank cap is
 hit. The black box maps an (m, d) integer index array to m values and must be
 deterministic: within one call of ``cross_approximate`` each distinct index is
-evaluated once, and repeats are answered from the values already seen.
+evaluated once, and repeats are answered from flag and value tables over the
+flat grid index: 9 bytes a node, paged in as indices are first seen.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ _MAX_RANK = 30  # internal ranks never grow past this
 _MAX_SWEEPS = 60  # sweeps before giving up on the tolerance
 _MAXVOL_TOL = 1.05  # maxvol stops once no coefficient exceeds this
 _MAXVOL_ITERS = 100  # row swaps per maxvol call
+_MAX_NODES = 2 ** 27  # larger grids are refused: their tables could take 1.2 GB
 
 
 def maxvol(a: np.ndarray) -> np.ndarray:
@@ -108,32 +110,23 @@ def cross_approximate(f, mode_sizes, tol: float,
     """
     sizes = tuple(int(n) for n in mode_sizes)
     d = len(sizes)
-    if d < 1 or any(n < 1 for n in sizes):
-        raise InvalidShapeError(f"bad mode sizes {sizes}")
+    if d < 1 or any(n < 1 for n in sizes) or math.prod(sizes) > _MAX_NODES:
+        raise InvalidShapeError(f"mode sizes {sizes} must be positive, with at most "
+                                f"{_MAX_NODES} nodes in all")
     evals = 0
-    # values seen so far, keyed by flat grid index (so the grid must have
-    # fewer than 2**63 nodes) and sorted by key
-    keys = np.empty(0, dtype=np.int64)
-    vals = np.empty(0)
+    seen = np.zeros(math.prod(sizes), dtype=bool)  # untouched pages stay unmapped
+    table = np.zeros(seen.size)
 
     def call(idx):
-        nonlocal evals, keys, vals
+        nonlocal evals
         flat = np.ravel_multi_index(tuple(idx.T), sizes)
-        pos = np.searchsorted(keys, flat)
-        hit = pos < keys.size
-        hit[hit] = keys[pos[hit]] == flat[hit]
-        out = np.empty(flat.size)
-        out[hit] = vals[pos[hit]]
-        if not hit.all():
-            miss = ~hit
-            new, first, inverse = np.unique(flat[miss], return_index=True,
-                                            return_inverse=True)
-            fresh = _checked_eval(f, idx[miss][first])
+        miss = ~seen[flat]
+        if miss.any():
+            new, first = np.unique(flat[miss], return_index=True)
+            table[new] = _checked_eval(f, idx[miss][first])
+            seen[new] = True
             evals += new.size
-            out[miss] = fresh[inverse]
-            at = np.searchsorted(keys, new)
-            keys, vals = np.insert(keys, at, new), np.insert(vals, at, fresh)
-        return out
+        return table[flat]
 
     val_idx = np.stack([rng.integers(0, n, size=_VALIDATION_SIZE) for n in sizes],
                        axis=1)

@@ -68,12 +68,11 @@ def sample_tt(p: TTTensor, grid: ChebGrid, n: int, seed: int) -> PointCloud:
     d = grid.d
     rng = np.random.default_rng(seed)
 
-    # trailing quadrature contractions: suffix[k] integrates modes k..d-1
-    suffix = [None] * (d + 1)
-    suffix[d] = np.ones(1)
+    # nodal[k] (r, n_k): core k times the quadrature of modes k+1..d-1
+    nodal, tail = [None] * d, np.ones(1)
     for k in range(d - 1, -1, -1):
-        w = grid.quad_weights(k)
-        suffix[k] = np.einsum("j,rjs,s->r", w, p.cores[k], suffix[k + 1])
+        nodal[k] = p.cores[k] @ tail
+        tail = nodal[k] @ grid.quad_weights(k)
 
     fine = np.linspace(grid.a, grid.b, _FINE)
     dx = fine[1] - fine[0]
@@ -84,7 +83,7 @@ def sample_tt(p: TTTensor, grid: ChebGrid, n: int, seed: int) -> PointCloud:
         refine = grid.interp_rows(k, fine)  # (_FINE, n_k)
         for lo in range(0, n, _CHUNK):
             sl = slice(lo, min(lo + _CHUNK, n))
-            vals = np.einsum("nr,rjs,s->nj", left[sl], p.cores[k], suffix[k + 1])
+            vals = left[sl] @ nodal[k]
             dens = np.maximum(vals @ refine.T, 0.0)
             seg = 0.5 * (dens[:, 1:] + dens[:, :-1]) * dx
             cdf = np.concatenate(
@@ -102,7 +101,7 @@ def sample_tt(p: TTTensor, grid: ChebGrid, n: int, seed: int) -> PointCloud:
             frac = np.where(gap > 0, (target - cdf[rows, j]) / np.maximum(gap, 1e-300), 0.5)
             out[sl, k] = fine[j] + np.clip(frac, 0.0, 1.0) * dx
         interp = grid.interp_rows(k, out[:, k])
-        left = np.einsum("nr,rjs,nj->ns", left, p.cores[k], interp)
+        left = np.einsum("nr,nrs->ns", left, np.tensordot(interp, p.cores[k], (1, 1)))
     return PointCloud(points=out)
 
 

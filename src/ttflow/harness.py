@@ -50,11 +50,13 @@ _INT_MIN = {"d": 2, "n_grid": 8, "m_steps": 4, "n_samples": 1, "n_densities": 1,
 def _finite_reals(name: str, value, length: int):
     """``value`` as ``length`` finite floats, or one float for length 1.
 
-    Bools, strings and None are not numbers here, even inside a sequence.
+    Bools, strings and None are not numbers here, even inside a sequence, and
+    only a tuple, list, range or array is a sequence: a mapping or a set is not.
     """
     items = (value,) if length == 1 else value
+    sequence = isinstance(items, (tuple, list, range, np.ndarray))
     try:
-        ok = not isinstance(items, str) and len(items) == length and all(
+        ok = sequence and len(items) == length and all(
             isinstance(v, numbers.Real) and not isinstance(v, bool) and np.isfinite(v)
             for v in items)
     except TypeError:  # no length

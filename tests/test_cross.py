@@ -4,7 +4,7 @@ import pytest
 from ttflow import cross
 from ttflow.chebyshev import ChebGrid
 from ttflow.cross import cross_approximate, maxvol
-from ttflow.errors import NumericalDomainError
+from ttflow.errors import InvalidShapeError, NumericalDomainError
 from ttflow.tt import TTTensor, tt_eval, tt_from_dense
 
 
@@ -123,6 +123,20 @@ def test_cross_evals_bounded_by_grid_size(monkeypatch):
     monkeypatch.setattr(cross, "_VALIDATION_SIZE", 2000)
     res = cross_approximate(f, (6, 6), tol=1e-8, rng=np.random.default_rng(8))
     assert 0 < res.n_evals <= 36
+
+
+def test_cross_rejects_a_grid_above_the_node_ceiling():
+    calls = []
+
+    def f(idx):
+        calls.append(idx)
+        return np.ones(idx.shape[0])
+
+    side = 2 ** 14  # 2**28 nodes, twice the ceiling
+    assert side * side > cross._MAX_NODES
+    with pytest.raises(InvalidShapeError, match="nodes"):
+        cross_approximate(f, (side, side), tol=1e-8, rng=np.random.default_rng(0))
+    assert calls == []
 
 
 def test_cross_deterministic_given_seed():

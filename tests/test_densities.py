@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ttflow import densities
-from ttflow.chebyshev import ChebGrid, interp_value_and_grad
+from ttflow.chebyshev import ChebGrid, cc_weights, cheb_nodes, interp_value_and_grad
 from ttflow.densities import (CertifiedDensity, MixtureSpec, QuarticComponent,
                               diag_gaussian_tt, gen_quartic_mixture,
                               gen_tt_random, mixture_callable,
@@ -56,6 +58,40 @@ def test_exponent_matches_einsum_form(d):
         ref = (np.einsum("md,de,me->m", c1, c.q1, c1)
                + np.einsum("md,de,me->m", c2, c.q2, c2))
         assert np.abs(c.exponent(x) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _point_list_normalizers(spec, box):
+    # every quadrature point of the 72^d grid as one row, with its product weight
+    nodes, w = cheb_nodes(72, *box), cc_weights(72, *box)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*[nodes] * spec.d, indexing="ij")],
+                   axis=1)
+    wts = np.prod(np.stack([g.ravel() for g in np.meshgrid(*[w] * spec.d, indexing="ij")]),
+                  axis=0)
+    return np.array([wts @ np.exp(-c.exponent(pts)) for c in spec.components])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_normalizers_match_point_list_quadrature(d):
+    for seed in range(1, 9):
+        spec, _ = gen_quartic_mixture(d, seed=seed)
+        z = densities._component_normalizers(spec, (-8.0, 8.0))
+        ref = _point_list_normalizers(spec, (-8.0, 8.0))
+        assert np.abs(z / ref - 1.0).max() <= 1e-14, seed
+
+
+def test_normalizers_hold_one_grid_at_a_time():
+    # one 72^3 grid of floats is 3.0 MB; a 72^3 point list with its
+    # per-point temporaries is about 45 MB
+    spec, _ = gen_quartic_mixture(3, seed=5)
+    assert spec.k > 1
+    densities._component_normalizers(spec, (-8.0, 8.0))  # fill the node caches
+    tracemalloc.start()
+    try:
+        densities._component_normalizers(spec, (-8.0, 8.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 72 ** 3 * 8
 
 
 def test_mixture_positivity_and_determinism():

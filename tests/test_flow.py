@@ -4,7 +4,8 @@ import pytest
 from analytic_gaussian import AnalyticGaussianFlow
 from ttflow import flow, fpe
 from ttflow.chebyshev import ChebGrid
-from ttflow.densities import diag_gaussian_tt, gen_quartic_mixture, normalize_and_certify
+from ttflow.densities import (diag_gaussian_tt, gen_quartic_mixture, gen_tt_random,
+                              normalize_and_certify)
 from ttflow.errors import ConfigError, InvalidShapeError, SamplingError
 from ttflow.flow import (PointCloud, flow_integrate, paths_to_csv, sample_tt,
                          straightness_diagnostic)
@@ -83,6 +84,50 @@ def test_sampler_blocks_do_not_change_samples(monkeypatch):
     ref = sample_tt(p, grid, 300, seed=4)
     monkeypatch.setattr(flow, "_CHUNK", 7)
     assert np.array_equal(sample_tt(p, grid, 300, seed=4).points, ref.points)
+
+
+def _einsum_sampler(p, grid, n, seed):
+    # the sampler with each conditional and each leading contraction written
+    # as one three-operand einsum, per sample block as in ``sample_tt``
+    d, rng = grid.d, np.random.default_rng(seed)
+    suffix = [np.ones(1)] * (d + 1)
+    for k in range(d - 1, -1, -1):
+        suffix[k] = np.einsum("j,rjs,s->r", grid.quad_weights(k), p.cores[k], suffix[k + 1])
+    fine = np.linspace(grid.a, grid.b, flow._FINE)
+    dx = fine[1] - fine[0]
+    out, left = np.empty((n, d)), np.ones((n, 1))
+    for k in range(d):
+        u = rng.random(n)
+        refine = grid.interp_rows(k, fine)
+        for lo in range(0, n, flow._CHUNK):
+            sl = slice(lo, min(lo + flow._CHUNK, n))
+            vals = np.einsum("nr,rjs,s->nj", left[sl], p.cores[k], suffix[k + 1])
+            dens = np.maximum(vals @ refine.T, 0.0)
+            cdf = np.concatenate([np.zeros((dens.shape[0], 1)), np.cumsum(
+                0.5 * (dens[:, 1:] + dens[:, :-1]) * dx, axis=1)], axis=1)
+            target = u[sl] * cdf[:, -1]
+            j = np.clip(np.sum(cdf <= target[:, None], axis=1) - 1, 0, flow._FINE - 2)
+            rows = np.arange(dens.shape[0])
+            gap = cdf[rows, j + 1] - cdf[rows, j]
+            frac = np.where(gap > 0, (target - cdf[rows, j]) / np.maximum(gap, 1e-300), 0.5)
+            out[sl, k] = fine[j] + np.clip(frac, 0.0, 1.0) * dx
+        interp = grid.interp_rows(k, out[:, k])
+        left = np.einsum("nr,rjs,nj->ns", left, p.cores[k], interp)
+    return out
+
+
+def test_sampler_matches_einsum_contractions():
+    cases = []
+    for d, n_grid in ((2, 40), (3, 24)):
+        grid = ChebGrid.uniform(d, n_grid, -8.0, 8.0)
+        cases.append((normalize_and_certify(gen_quartic_mixture(d, seed=3)[1], grid).tensor,
+                      grid))
+        assert max(cases[-1][0].ranks) > 1
+    grid = ChebGrid.uniform(7, 16, -8.0, 8.0)
+    cases.append((normalize_and_certify(gen_tt_random(grid, seed=2), grid).tensor, grid))
+    for p, grid in cases:
+        got = sample_tt(p, grid, 300, seed=6).points
+        assert np.abs(got - _einsum_sampler(p, grid, 300, 6)).max() <= 1e-13, grid.d
 
 
 def test_flow_requires_provider_box():

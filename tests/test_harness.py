@@ -70,6 +70,18 @@ def test_every_numeric_field_rejects_bools_strings_and_nan():
                 ExperimentConfig(**dict(TOY, **{f.name: value}))
 
 
+def test_real_fields_take_sequences_not_mappings_or_sets():
+    # a mapping iterates over its keys and a set over its items in no set
+    # order, so neither is read as (lo, hi)
+    for bad in ({-8: 0, 8: 1}, {-8.0, 8.0}, frozenset({-8.0, 8.0})):
+        with pytest.raises(ConfigError, match="^box must be"):
+            ExperimentConfig(**dict(TOY, box=bad))
+    with pytest.raises(ConfigError, match="^gaussian_var must be"):
+        ExperimentConfig(**dict(TOY, family="gaussian", gaussian_var={1.0: 0, 2.0: 0}))
+    for good in ((-8, 8), [-8.0, 8.0], range(-8, 9, 16), np.array([-8.0, 8.0])):
+        assert ExperimentConfig(**dict(TOY, box=good)).box == (-8.0, 8.0)
+
+
 def test_presets_match_experiment_table():
     assert PRESETS["d2"] == {"d": 2, "n_grid": 250, "m_steps": 250,
                              "family": "quartic-mixture"}

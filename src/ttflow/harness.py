@@ -241,12 +241,44 @@ def _max_gap(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(x - y, axis=1).max())
 
 
-def run_one(config: ExperimentConfig, index: int) -> dict:
-    """Full pipeline for density ``index``; returns the per-density report."""
+def _oracle(run: _Run, t_max: float) -> dict:
+    """A Gaussian density against its closed-form law.
+
+    The per-step relative L2 density error against the evolved moments, the
+    endpoints' largest distances from the finite-time and whitening maps, and
+    ``limit_gap``, the maps' largest distance over the finite paths' starts.
+    """
+    grid, traj = run.traj.grid, run.traj
+    weights = [grid.quad_weights(k) for k in range(grid.d)]
+    l2 = []
+    for m in range(traj.n_steps + 1):
+        mean_t, cov_t = moments_at(run.spec, m * traj.h)
+        ref = diag_gaussian_tt(grid, mean_t, np.diag(cov_t))
+        ref = tt_scale(ref, 1.0 / tt_integrate(ref, weights))
+        l2.append(rel_l2_distance(traj.snapshots[m], ref, grid))
+    x0, x1 = _finite_paths(run)
+    at_t_max = finite_time_map(run.spec, x0, t_max)
+    limit = encoder_map(run.spec, x0)
+    return {
+        "l2_per_step": [float(v) for v in l2],
+        "l2_max": float(max(l2)),
+        "map_discrepancy_finite": _max_gap(x1, at_t_max),
+        "map_discrepancy_limit": _max_gap(x1, limit),
+        "limit_bound": float(np.exp(-t_max) * np.abs(np.diag(run.spec.cov) - 1).max()),
+        "limit_gap": _max_gap(at_t_max, limit),
+    }
+
+
+def _report(config: ExperimentConfig, index: int) -> dict:
+    """The one per-density report; a Gaussian density's carries its ``oracle``."""
     run = _pipeline(config, index)
     t0 = time.perf_counter()
     report = asdict(compare(run.x0.points, run.flow.x1.points))
-    compare_s = time.perf_counter() - t0
+    timings = dict(run.timings, compare_s=time.perf_counter() - t0)
+    if run.spec is not None:
+        t0 = time.perf_counter()
+        report["oracle"] = _oracle(run, config.t_max)
+        timings["oracle_s"] = time.perf_counter() - t0
     report.update(
         index=index,
         density=run.meta,
@@ -254,13 +286,14 @@ def run_one(config: ExperimentConfig, index: int) -> dict:
         solver={"rank_max": max(max(r) for r in run.traj.ranks),
                 "mass_loss_max": max(abs(1.0 - m) for m in run.traj.masses[1:])},
         config=asdict(config),
+        timings=dict(timings, total_s=sum(timings.values())),
     )
-    report["timings"].update(run.timings, compare_s=compare_s,
-                             total_s=sum(run.timings.values()) + compare_s)
-    if run.spec is not None:
-        x0, x1 = _finite_paths(run)
-        report["map_discrepancy"] = _max_gap(x1, finite_time_map(run.spec, x0, config.t_max))
     return report
+
+
+def run_one(config: ExperimentConfig, index: int) -> dict:
+    """Report of density ``index`` for a suite; ``gaussian_check`` calls ``_report``."""
+    return _report(config, index)
 
 
 def _run_one_payload(args):
@@ -299,6 +332,7 @@ def run_suite(config: ExperimentConfig) -> dict:
     escape = [r["flow"]["x1_abs_max_over_box"] for r in reports
               if r["flow"]["x1_abs_max_over_box"] is not None]
     times = [r["timings"]["total_s"] for r in reports]
+    oracles = [r["oracle"] for r in reports if "oracle" in r]
     status = "ok" if len(failures) <= 0.1 * config.n_densities else "failed"
     summary = {
         "status": status,
@@ -318,6 +352,9 @@ def run_suite(config: ExperimentConfig) -> dict:
         # worst cases over densities of the flow block's margins
         "flow": {"score_nodes_p0_max": max(p0_nodes, default=None),
                  "x1_abs_max_over_box": max(escape, default=None)},
+        # worst closed-form errors over the Gaussian densities
+        "oracle": {key: max((o[key] for o in oracles), default=None) for key in
+                   ("l2_max", "map_discrepancy_finite", "map_discrepancy_limit")},
         "timings": {"per_density_s": times, "suite_s": time.perf_counter() - t0},
     }
     if config.out:
@@ -331,45 +368,19 @@ def run_suite(config: ExperimentConfig) -> dict:
 
 
 def gaussian_check(config: ExperimentConfig, mean=None, var=None) -> dict:
-    """Numeric pipeline vs the closed-form Gaussian law.
+    """Numeric pipeline vs the closed-form Gaussian law: a view of one report.
 
-    Reports the per-step relative L2 density error against the evolved
-    moments and the endpoint discrepancies against the finite-time map and
-    the limiting whitening map, plus ``limit_gap``, the closed-form distance
-    between those two maps over the same start points, and the Gaussian's
-    ``boundary_ratio`` by the certificate's rule (reported, not enforced).
+    The density's ``oracle`` block (see ``_oracle``) plus the Gaussian's
+    parameters, its ``boundary_ratio`` by the certificate's rule (reported,
+    not enforced), ``epsilon_rel``, ``excluded``, the config and the timings.
     """
     cfg = replace(config, family="gaussian",
                   gaussian_mean=config.gaussian_mean if mean is None else mean,
                   gaussian_var=config.gaussian_var if var is None else var)
-    run = _pipeline(cfg, 0)
-    grid, traj = run.traj.grid, run.traj
-    weights = [grid.quad_weights(k) for k in range(grid.d)]
-    l2 = []
-    for m in range(traj.n_steps + 1):
-        mean_t, cov_t = moments_at(run.spec, m * traj.h)
-        ref = diag_gaussian_tt(grid, mean_t, np.diag(cov_t))
-        ref = tt_scale(ref, 1.0 / tt_integrate(ref, weights))
-        l2.append(rel_l2_distance(traj.snapshots[m], ref, grid))
-    rep = compare(run.x0.points, run.flow.x1.points)
-    x0, x1 = _finite_paths(run)
-    at_t_max = finite_time_map(run.spec, x0, cfg.t_max)
-    limit = encoder_map(run.spec, x0)
-    return {
-        "config": asdict(cfg),
-        "mean": run.meta["mean"],
-        "var": run.meta["var"],
-        "l2_per_step": [float(v) for v in l2],
-        "l2_max": float(max(l2)),
-        "map_discrepancy_finite": _max_gap(x1, at_t_max),
-        "map_discrepancy_limit": _max_gap(x1, limit),
-        "limit_bound": float(np.exp(-cfg.t_max) * np.abs(np.diag(run.spec.cov) - 1).max()),
-        "limit_gap": _max_gap(at_t_max, limit),
-        "boundary_ratio": run.meta["boundary_ratio"],
-        "epsilon_rel": rep.epsilon_rel,
-        "excluded": rep.excluded,
-        "timings": run.timings,
-    }
+    rep = _report(cfg, 0)
+    view = {k: rep["density"][k] for k in ("mean", "var", "boundary_ratio")}
+    return {**rep["oracle"], **view,
+            **{k: rep[k] for k in ("epsilon_rel", "excluded", "config", "timings")}}
 
 
 def dump_trajectories(config: ExperimentConfig, out_csv, out_json=None) -> dict:
@@ -385,8 +396,7 @@ def dump_trajectories(config: ExperimentConfig, out_csv, out_json=None) -> dict:
         "density": run.meta,
         "ids": list(range(config.n_samples)),
         "straightness": [float(v) for v in diag],
-        "clamped_stages": run.flow.clamped,
-        "failed_ids": run.flow.failed_ids,
+        "flow": _flow_report(run),
     }
     if out_json:
         with open(out_json, "w") as fh:
@@ -401,7 +411,8 @@ _TABLE_COLUMNS = (
     ("Samples", "n_samples", ""), ("max eps_rel", "epsilon_rel_max", ".3e"),
     ("median eps_rel", "epsilon_rel_median", ".3e"),
     ("mean time (s)", "mean_time_s", ".2f"), ("max rank", "rank_max", "d"),
-    ("max mass loss", "mass_loss_max", ".3e"),
+    ("max mass loss", "mass_loss_max", ".3e"), ("max L2 err", "l2_max", ".3e"),
+    ("max map err", "map_discrepancy_finite", ".3e"),
 )
 
 
@@ -415,18 +426,10 @@ def aggregate_table(summary_paths, out_csv=None) -> str:
     for path in summary_paths:
         with open(path) as fh:
             s = json.load(fh)
-        cfg = s["config"]
         times = s["timings"]["per_density_s"]
-        rows.append({
-            "d": cfg["d"], "n_grid": cfg["n_grid"], "m_steps": cfg["m_steps"],
-            "family": cfg["family"], "n_densities": s["n_completed"],
-            "n_samples": cfg["n_samples"],
-            "epsilon_rel_max": s["epsilon_rel_max"],
-            "epsilon_rel_median": s["epsilon_rel_median"],
-            "mean_time_s": float(np.mean(times)) if times else None,
-            "rank_max": s["solver"]["rank_max"],
-            "mass_loss_max": s["solver"]["mass_loss_max"],
-        })
+        rows.append({**s, **s["config"], **s["solver"], **s["oracle"],
+                     "n_densities": s["n_completed"],  # completed, not configured
+                     "mean_time_s": float(np.mean(times)) if times else None})
     rows.sort(key=lambda r: r["d"])
     lines = ["| " + " | ".join(head for head, _, _ in _TABLE_COLUMNS) + " |",
              "|" + "---|" * len(_TABLE_COLUMNS)]
@@ -434,7 +437,8 @@ def aggregate_table(summary_paths, out_csv=None) -> str:
               for r in rows]
     if out_csv:
         with open(out_csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=[key for _, key, _ in _TABLE_COLUMNS])
+            writer = csv.DictWriter(fh, [key for _, key, _ in _TABLE_COLUMNS],
+                                    extrasaction="ignore")
             writer.writeheader()
             writer.writerows(rows)
     return "\n".join(lines)

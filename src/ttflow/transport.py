@@ -9,8 +9,7 @@ an optimal coupling.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -60,7 +59,6 @@ class TransportReport:
     assignment: list
     identity_fraction: float
     excluded: int
-    timings: dict = field(default_factory=dict)
 
 
 def compare(x: np.ndarray, y: np.ndarray) -> TransportReport:
@@ -77,9 +75,7 @@ def compare(x: np.ndarray, y: np.ndarray) -> TransportReport:
     if x.shape[0] == 0:
         raise DegenerateCostError("all rows excluded, nothing to compare")
 
-    t0 = time.perf_counter()
     perm, cost_ot = ot_assignment(x, y)
-    t_assign = time.perf_counter() - t0
     cost_enc = paired_cost(x, y)
 
     if cost_ot == 0.0:
@@ -99,5 +95,4 @@ def compare(x: np.ndarray, y: np.ndarray) -> TransportReport:
         assignment=[int(v) for v in perm],
         identity_fraction=float(np.mean(perm == np.arange(x.shape[0]))),
         excluded=excluded,
-        timings={"assignment_s": t_assign},
     )

@@ -97,8 +97,10 @@ class ExperimentConfig:
         if self.family == "quartic-mixture" and self.d > 3:
             raise ConfigError(f"family quartic-mixture is defined for d <= 3, got d={self.d}")
         if self.box is None:
-            # at +-12 every Gaussian the family draws (|mean| <= 1, var <= 2)
-            # reads a wall ratio <= 7.3e-14 from 64 nodes up (1.5e-13 at 8)
+            # at +-12 every Gaussian the family draws (|mean| <= 1, var <= 2) reads a
+            # wall ratio <= 7.3e-14 from 64 nodes up (1.5e-13 at 8), but 64 nodes do not
+            # resolve it: over ten draws at 256 steps the worst L2 and map errors read
+            # 1.0e-4 and 1.3e-2 there, 1.2e-8 and 7.9e-7 at 96 nodes
             wall = 12.0 if self.family == "gaussian" else 8.0
             object.__setattr__(self, "box", (-wall, wall))
         for name, length in (("t_max", 1), ("box", 2), ("gaussian_mean", self.d),
@@ -112,6 +114,8 @@ class ExperimentConfig:
             raise ConfigError(f"box must be increasing, got {self.box}")
         if self.gaussian_var is not None and min(self.gaussian_var) <= 0:
             raise ConfigError(f"gaussian_var must be positive, got {self.gaussian_var}")
+        if self.family != "gaussian" and (self.gaussian_mean, self.gaussian_var) != (None, None):
+            raise ConfigError(f"gaussian_mean/var need family gaussian, got {self.family!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a directory path, got {self.out!r}")
 
@@ -119,9 +123,20 @@ class ExperimentConfig:
         return ChebGrid.uniform(self.d, self.n_grid, self.box[0], self.box[1])
 
 
+def _read_json(path, what: str) -> dict:
+    """The JSON object in file ``path``, else a ConfigError naming ``what`` and ``path``."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return data
+
+
 def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
-    merged = dict(data)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+    merged = {**data, **{k: v for k, v in overrides.items() if v is not None}}
     preset = merged.pop("preset", None)
     if preset is not None:
         if not isinstance(preset, str) or preset not in PRESETS:
@@ -424,12 +439,14 @@ def aggregate_table(summary_paths, out_csv=None) -> str:
     """Collect suite summaries into a compact markdown table."""
     rows = []
     for path in summary_paths:
-        with open(path) as fh:
-            s = json.load(fh)
-        times = s["timings"]["per_density_s"]
-        rows.append({**s, **s["config"], **s["solver"], **s["oracle"],
-                     "n_densities": s["n_completed"],  # completed, not configured
-                     "mean_time_s": float(np.mean(times)) if times else None})
+        s = _read_json(path, "summary")
+        try:  # a summary written before one of these blocks existed lacks it
+            times = s["timings"]["per_density_s"]
+            rows.append({**s, **s["config"], **s["solver"], **s["oracle"],
+                         "n_densities": s["n_completed"],  # completed, not configured
+                         "mean_time_s": float(np.mean(times)) if times else None})
+        except KeyError as exc:
+            raise ConfigError(f"summary {path} has no key {exc}; rerun its suite") from exc
     rows.sort(key=lambda r: r["d"])
     lines = ["| " + " | ".join(head for head, _, _ in _TABLE_COLUMNS) + " |",
              "|" + "---|" * len(_TABLE_COLUMNS)]

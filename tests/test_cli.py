@@ -5,9 +5,12 @@ import pytest
 
 from ttflow.cli import main
 from ttflow.errors import NumericalDomainError
+from ttflow.harness import ExperimentConfig, gaussian_check
 
-TOY_FLAGS = ["--dim", "2", "--grid", "32", "--steps", "8", "--samples", "20",
-             "--densities", "2", "--family", "quartic-mixture", "--seed", "5"]
+# the config flags that run and trajectories both take, and run's suite size
+TOY_CONFIG = ["--dim", "2", "--grid", "32", "--steps", "8", "--samples", "20",
+              "--family", "quartic-mixture", "--seed", "5"]
+TOY_FLAGS = [*TOY_CONFIG, "--densities", "2"]
 
 
 def test_run_succeeds_and_writes_reports(tmp_path, capsys):
@@ -25,13 +28,16 @@ def test_validation_error_exits_2(capsys):
     assert "d must be >= 2" in capsys.readouterr().err
     assert main(["run", *TOY_FLAGS, "--t-max", "nan"]) == 2
     assert "t_max must be a finite number, got nan" in capsys.readouterr().err
-    gauss = ["gaussian-check", "--dim", "2", "--grid", "32", "--steps", "8"]
+    gauss = ["run", "--dim", "2", "--grid", "32", "--steps", "8", "--family", "gaussian"]
     assert main([*gauss, "--var", "-1", "1"]) == 2
     assert "gaussian_var must be positive" in capsys.readouterr().err
     assert main([*gauss, "--mean", "nan", "0"]) == 2
     assert "gaussian_mean must be 2 finite numbers, got [nan, 0.0]" in capsys.readouterr().err
     assert main([*gauss, "--mean", "1", "0", "0"]) == 2
     assert "gaussian_mean must be 2 finite numbers" in capsys.readouterr().err
+    assert main(["run", *TOY_FLAGS, "--mean", "0", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: gaussian_mean/var need family gaussian, got 'quartic-mixture'"]
 
 
 def test_bad_seed_and_box_exit_2_with_one_error_line(tmp_path, capsys):
@@ -106,29 +112,34 @@ def test_suite_failure_exits_3(monkeypatch, capsys):
 
 
 def test_gaussian_check_command(tmp_path, capsys):
-    report = str(tmp_path / "check.json")
+    # the Gaussian check is a Gaussian suite: its density report carries the
+    # oracle block of the library gaussian_check, and the CLI prints its errors.
     # +-8 as in test_gaussian_check_stationary: 64 nodes resolve N(0, 1) there
-    code = main(["gaussian-check", "--dim", "2", "--grid", "64", "--steps", "16",
-                 "--box", "-8", "8",
+    out = str(tmp_path / "suite")
+    code = main(["run", "--dim", "2", "--grid", "64", "--steps", "16", "--box", "-8", "8",
                  "--samples", "30", "--seed", "3", "--family", "gaussian",
-                 "--mean", "0", "0", "--var", "1", "1", "--report", report])
+                 "--mean", "0", "0", "--var", "1", "1", "--densities", "1", "--out", out])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "max per-step relative L2 error" in out
-    with open(report) as fh:
+    stdout = capsys.readouterr().out
+    with open(os.path.join(out, "density_0000.json")) as fh:
         rep = json.load(fh)
-    assert f"closed-form gap {rep['limit_gap']:.3e}" in out
-    assert f"wall ratio {rep['boundary_ratio']:.3e}" in out
-    assert rep["l2_max"] <= 1e-6
-    assert rep["map_discrepancy_finite"] <= 1e-6
+    check = gaussian_check(ExperimentConfig(
+        d=2, n_grid=64, m_steps=16, family="gaussian", box=(-8.0, 8.0), n_samples=30,
+        n_densities=1, seed=3, gaussian_mean=(0.0, 0.0), gaussian_var=(1.0, 1.0)))
+    assert rep["oracle"] == {k: check[k] for k in rep["oracle"]}
+    assert rep["density"]["boundary_ratio"] == check["boundary_ratio"]
+    assert (f"max L2 err {check['l2_max']:.3e}, "
+            f"max map err {check['map_discrepancy_finite']:.3e}") in stdout
+    assert check["l2_max"] <= 1e-6
+    assert check["map_discrepancy_finite"] <= 1e-6
 
 
-def test_gaussian_check_needs_no_family(capsys):
-    code = main(["gaussian-check", "--dim", "2", "--grid", "32", "--steps", "8",
-                 "--samples", "10", "--seed", "1"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "max per-step relative L2 error" in out
+def test_gaussian_check_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gaussian-check", "--dim", "2", "--grid", "32", "--steps", "8",
+              "--samples", "10", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'gaussian-check'" in capsys.readouterr().err
 
 
 def test_run_without_family_reports_missing_field(capsys):
@@ -138,18 +149,23 @@ def test_run_without_family_reports_missing_field(capsys):
 
 
 def test_trajectories_command(tmp_path, capsys):
-    # --samples is the one sample count: it overrides TOY_FLAGS' 20
+    # --samples is the one sample count: it overrides TOY_CONFIG's 20
     csv_path = str(tmp_path / "paths.csv")
-    code = main(["trajectories", *TOY_FLAGS, "--densities", "1",
-                 "--samples", "3", "--csv", csv_path])
+    code = main(["trajectories", *TOY_CONFIG, "--samples", "3", "--csv", csv_path])
     assert code == 0
     assert "wrote 3 paths" in capsys.readouterr().out
     with open(csv_path) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "id,t,x_1,x_2"
     assert len(lines) == 1 + 3 * (8 // 2 + 1)
-    assert main(["trajectories", *TOY_FLAGS, "--samples", "0", "--csv", csv_path]) == 2
+    assert main(["trajectories", *TOY_CONFIG, "--samples", "0", "--csv", csv_path]) == 2
     assert "n_samples must be >= 1, got 0" in capsys.readouterr().err
+    # the suite flags change nothing here, so trajectories does not take them
+    for flag in (["--workers", "2"], ["--densities", "1"], ["--out", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["trajectories", *TOY_CONFIG, *flag, "--csv", csv_path])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_table_command(tmp_path, capsys):
@@ -163,3 +179,29 @@ def test_table_command(tmp_path, capsys):
     assert stdout.startswith("| d | Spatial grid |")
     assert "| 2 | 32 | 8 | quartic-mixture |" in stdout
     assert os.path.exists(csv_out)
+
+
+@pytest.fixture(scope="module")
+def toy_summary(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("suite"))
+    assert main(["run", *TOY_FLAGS, "--out", out]) == 0
+    with open(os.path.join(out, "summary.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", ["missing", "not-json", "not-an-object", "no-oracle",
+                                  "no-timings"])
+def test_table_of_an_unreadable_summary_exits_2(tmp_path, capsys, toy_summary, case):
+    path = tmp_path / "summary.json"
+    if case == "not-json":
+        path.write_text("{not json")
+    elif case == "not-an-object":
+        path.write_text("[]")
+    elif case != "missing":  # a summary written before the block existed
+        path.write_text(json.dumps({k: v for k, v in toy_summary.items() if k != case[3:]}))
+    capsys.readouterr()
+    assert main(["table", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+    if case.startswith("no-"):
+        assert err[0] == f"error: summary {path} has no key '{case[3:]}'; rerun its suite"

@@ -410,6 +410,22 @@ def test_gaussian_walls_are_measured_not_enforced():
     assert rep["boundary_ratio"] == pytest.approx(4.785e-6, rel=1e-3)
 
 
+@pytest.mark.parametrize("family", ["quartic-mixture", "tt-random"])
+@pytest.mark.parametrize("field", ["gaussian_mean", "gaussian_var"])
+def test_gaussian_parameters_need_the_gaussian_family(family, field):
+    # run_one of such a config would ignore the parameter
+    with pytest.raises(ConfigError, match="^gaussian_mean/var need family gaussian"):
+        ExperimentConfig(**dict(TOY, family=family, **{field: (3.0, 3.0)}))
+
+
+def test_gaussian_check_of_a_mixture_config_keeps_its_box():
+    cfg = ExperimentConfig(**TOY)
+    rep = gaussian_check(cfg, mean=(0.3, -0.2), var=(1.2, 0.8))
+    assert rep["config"]["family"] == "gaussian"
+    assert rep["config"]["box"] == cfg.box == (-8.0, 8.0)
+    assert rep["mean"] == [0.3, -0.2] and rep["var"] == [1.2, 0.8]
+
+
 def test_dump_trajectories_stationary_is_straight(tmp_path):
     # 64 nodes resolve the stationary score well enough that points move
     # only by noise (~1e-7), below the diagnostic's chord floor

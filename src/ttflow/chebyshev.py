@@ -24,7 +24,7 @@ from .errors import DomainBoundsError, InvalidShapeError
 
 
 @functools.lru_cache(maxsize=64)
-def cheb_nodes(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
+def cheb_nodes(n: int, a: float, b: float) -> np.ndarray:
     """Ascending Chebyshev-Gauss-Lobatto nodes on [a, b]."""
     if n < 2:
         raise InvalidShapeError(f"need at least 2 nodes, got {n}")
@@ -47,7 +47,7 @@ def barycentric_weights(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)  # chopped score grids bring many sizes
-def diff_matrix(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
+def diff_matrix(n: int, a: float, b: float) -> np.ndarray:
     """First-derivative collocation matrix on the CGL nodes of [a, b]."""
     x = cheb_nodes(n, a, b)
     w = barycentric_weights(n)
@@ -61,7 +61,7 @@ def diff_matrix(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def cc_weights(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
+def cc_weights(n: int, a: float, b: float) -> np.ndarray:
     """Clenshaw-Curtis weights over [a, b] (ascending node order): (b-a)/2
     coeff_matrix(n)^T mu integrates the interpolant's Chebyshev series, with
     mu_k = int_{-1}^{1} T_k = 2/(1-k^2) for even k and 0 for odd k."""
@@ -133,8 +133,8 @@ class ChebGrid:
     """Tensor-product CGL grid: ``ns[k]`` nodes per mode on the box [a, b]^d."""
 
     ns: tuple[int, ...]
-    a: float = -1.0
-    b: float = 1.0
+    a: float
+    b: float
 
     def __post_init__(self):
         if len(self.ns) < 1 or any(n < 2 for n in self.ns):

@@ -112,20 +112,19 @@ def flow_integrate(provider, x0: PointCloud) -> FlowResult:
     ``provider`` needs an even ``n_steps``, ``h``, ``score_at(m, x)`` (the
     score at time m h) and a bounding ``box`` (lo, hi), infinite for an
     unbounded provider. Stage states leaving the box are clamped for
-    evaluation (counted); points turning non-finite are reported by row in
-    ``failed_ids`` and stay NaN from then on. States are kept at the even
-    snapshots.
+    evaluation (counted). States are kept at the even snapshots. Only the flow
+    decides which paths count: a path whose state turns non-finite stays NaN
+    from then on and is listed by row in ``failed_ids``.
     """
     m_steps, h = provider.n_steps, provider.h
     if m_steps % 2:
         raise ConfigError(f"the flow steps over snapshot pairs and needs an even "
                           f"number of steps, got {m_steps}")
     box = provider.box
-    n, d = x0.n, x0.d
     x = x0.points.copy()
-    alive = np.ones(n, dtype=bool)
+    alive = np.ones(x0.n, dtype=bool)
     clamped = 0
-    states = np.empty((m_steps // 2 + 1, n, d))
+    states = np.empty((m_steps // 2 + 1, *x.shape))
     states[0] = x
 
     def eval_v(m, xs):
@@ -134,20 +133,16 @@ def flow_integrate(provider, x0: PointCloud) -> FlowResult:
         clamped += int((xc != xs).any(axis=1).sum())
         return -(xc + provider.score_at(m, xc))
 
-    for j in range(m_steps // 2):
-        m = 2 * j
+    for m in range(0, m_steps, 2):
         xa = x[alive]
         k1 = eval_v(m, xa)
         k2 = eval_v(m + 1, xa + h * k1)
         k3 = eval_v(m + 1, xa + h * k2)
         k4 = eval_v(m + 2, xa + 2 * h * k3)
-        xa = xa + (h / 3.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        ok = np.isfinite(xa).all(axis=1)
-        full = np.where(alive)[0]
-        x[full[ok]] = xa[ok]
-        x[full[~ok]] = np.nan
-        alive[full[~ok]] = False
-        states[j + 1] = x
+        x[alive] = xa + (h / 3.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        alive &= np.isfinite(x).all(axis=1)
+        x[~alive] = np.nan
+        states[m // 2 + 1] = x
 
     return FlowResult(x1=PointCloud(points=x), states=states,
                       times=np.arange(0, m_steps + 1, 2) * h, clamped=clamped,
@@ -158,30 +153,23 @@ def straightness_diagnostic(states: np.ndarray) -> np.ndarray:
     """Max perpendicular deviation from the start-end chord, per unit chord.
 
     ``states`` is a (T, n, d) path array such as ``FlowResult.states``; the
-    result has one entry per path. 0 for perfectly straight (or stationary)
-    paths. Chords no longer than ``_CHORD_FLOOR`` count as stationary: the
-    ratio on a path whose whole extent is numerical noise measures nothing
-    but that noise.
+    result has one entry per path, NaN for a path with a non-finite state.
+    0 for perfectly straight (or stationary) paths. Chords no longer than
+    ``_CHORD_FLOOR`` count as stationary: the ratio on a path whose whole
+    extent is numerical noise measures nothing but that noise.
     """
-    if states.ndim != 3 or states.shape[1] == 0:
-        raise InvalidShapeError(f"need a (T, n, d) path array with n >= 1, "
+    if states.ndim != 3 or 0 in states.shape[:2]:
+        raise InvalidShapeError(f"need a (T, n, d) path array with T, n >= 1, "
                                 f"got shape {states.shape}")
-    out = np.empty(states.shape[1])
-    for i in range(states.shape[1]):
-        s = states[:, i, :]
-        if not np.isfinite(s).all():
-            out[i] = np.nan
-            continue
-        chord = s[-1] - s[0]
-        length = np.linalg.norm(chord)
-        if length <= _CHORD_FLOOR:
-            out[i] = 0.0
-            continue
-        rel = s - s[0]
-        along = rel @ (chord / length)
-        perp = rel - along[:, None] * (chord / length)
-        out[i] = np.linalg.norm(perp, axis=1).max() / length
-    return out
+    ok = np.isfinite(states).all(axis=(0, 2))
+    rel = np.where(ok[:, None], states, 0.0)
+    rel = rel - rel[0]
+    length = np.linalg.norm(rel[-1], axis=1)
+    length[length <= _CHORD_FLOOR] = np.inf  # a stationary path's ratio reads 0
+    unit = rel[-1] / length[:, None]
+    along = np.einsum("tnd,nd->tn", rel, unit)
+    bend = np.linalg.norm(rel - along[..., None] * unit, axis=2).max(axis=0) / length
+    return np.where(ok, bend, np.nan)
 
 
 def paths_to_csv(states: np.ndarray, times, path) -> None:

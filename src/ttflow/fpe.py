@@ -82,11 +82,13 @@ def chop_size(values: np.ndarray) -> int:
 
     That is 1 + the last degree whose largest Chebyshev coefficient over the
     columns exceeds ``CHOP_TOL`` times the largest coefficient, and at least
-    2. Coefficients that never decay to the tolerance keep all n nodes.
+    2; n - 1 becomes n, as one node saved is not worth a resampled core.
     """
-    mags = np.abs(coeff_matrix(values.shape[0]) @ values).max(axis=1)
+    n = values.shape[0]
+    mags = np.abs(coeff_matrix(n) @ values).max(axis=1)
     above = np.flatnonzero(mags > CHOP_TOL * mags.max())
-    return max(int(above[-1]) + 1 if above.size else 0, 2)
+    kept = max(int(above[-1]) + 1 if above.size else 0, 2)
+    return n if kept == n - 1 else kept
 
 
 @functools.lru_cache(maxsize=8)

@@ -25,7 +25,7 @@ import numpy as np
 from .chebyshev import ChebGrid
 from .densities import (diag_gaussian_tt, gen_quartic_mixture, gen_tt_random,
                         normalize_and_certify, normalized_ratio)
-from .errors import ConfigError, TTFlowError
+from .errors import ConfigError, DegenerateCostError, TTFlowError
 from .flow import (FlowResult, PointCloud, flow_integrate, paths_to_csv,
                    sample_tt, straightness_diagnostic)
 from .fpe import DensityTrajectory, fpe_solve, rel_l2_distance
@@ -223,9 +223,9 @@ def _pipeline(config: ExperimentConfig, index: int) -> _Run:
 
 
 def _finite_paths(run: _Run):
-    """Start and end points of the paths that stayed finite."""
-    ok = np.isfinite(run.flow.x1.points).all(axis=1)
-    return run.x0.points[ok], run.flow.x1.points[ok]
+    """Start and end points of the paths outside the flow's ``failed_ids``."""
+    return (np.delete(run.x0.points, run.flow.failed_ids, axis=0),
+            np.delete(run.flow.x1.points, run.flow.failed_ids, axis=0))
 
 
 def _flow_report(run: _Run) -> dict:
@@ -285,10 +285,14 @@ def _oracle(run: _Run, t_max: float) -> dict:
 
 
 def _report(config: ExperimentConfig, index: int) -> dict:
-    """The one per-density report; a Gaussian density's carries its ``oracle``."""
+    """The one per-density report; a Gaussian density's carries its ``oracle``.
+    ``compare`` reads the finite paths and ``excluded`` counts the failed ones."""
     run = _pipeline(config, index)
     t0 = time.perf_counter()
-    report = asdict(compare(run.x0.points, run.flow.x1.points))
+    x0, x1 = _finite_paths(run)
+    if not len(x0):
+        raise DegenerateCostError("all rows excluded, nothing to compare")
+    report = dict(asdict(compare(x0, x1)), excluded=len(run.flow.failed_ids))
     timings = dict(run.timings, compare_s=time.perf_counter() - t0)
     if run.spec is not None:
         t0 = time.perf_counter()

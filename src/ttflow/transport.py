@@ -24,6 +24,8 @@ def _check_cloud_pair(x, y):
     if x.ndim != 2 or x.shape != y.shape or x.shape[0] < 1:
         raise InvalidShapeError(
             f"need matching (n, d) clouds, got {x.shape} and {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidShapeError("clouds must be finite; drop failed paths first")
     return x, y
 
 
@@ -58,23 +60,15 @@ class TransportReport:
     epsilon_rel: float
     assignment: list
     identity_fraction: float
-    excluded: int
 
 
 def compare(x: np.ndarray, y: np.ndarray) -> TransportReport:
-    """Build a :class:`TransportReport` for sources ``x`` paired with ``y``.
-
-    Rows where ``y`` is non-finite (e.g. excluded trajectories) are dropped
-    from both clouds before costing. A zero exact cost with a positive paired
-    cost has an undefined relative gap and raises ``DegenerateCostError``.
+    """Build a :class:`TransportReport` for finite sources ``x`` paired with
+    ``y`` (drop the flow's ``failed_ids`` first: a non-finite entry raises).
+    A zero exact cost with a positive paired cost has an undefined relative
+    gap and raises ``DegenerateCostError``.
     """
     x, y = _check_cloud_pair(x, y)
-    keep = np.isfinite(y).all(axis=1)
-    excluded = int((~keep).sum())
-    x, y = x[keep], y[keep]
-    if x.shape[0] == 0:
-        raise DegenerateCostError("all rows excluded, nothing to compare")
-
     perm, cost_ot = ot_assignment(x, y)
     cost_enc = paired_cost(x, y)
 
@@ -94,5 +88,4 @@ def compare(x: np.ndarray, y: np.ndarray) -> TransportReport:
         epsilon_rel=float(eps),
         assignment=[int(v) for v in perm],
         identity_fraction=float(np.mean(perm == np.arange(x.shape[0]))),
-        excluded=excluded,
     )

@@ -20,7 +20,7 @@ def test_nodes_ascending_and_endpoints():
 
 def test_nodes_validation():
     with pytest.raises(InvalidShapeError):
-        cheb_nodes(1)
+        cheb_nodes(1, -1.0, 1.0)
     with pytest.raises(InvalidShapeError):
         cheb_nodes(8, 2.0, 2.0)
 
@@ -42,7 +42,7 @@ def test_differentiation_exact_on_polynomials():
 
 
 def test_quadrature_weights_on_five_nodes():
-    assert np.allclose(cc_weights(5), np.array([1, 8, 12, 8, 1]) / 15, rtol=0, atol=1e-15)
+    assert np.allclose(cc_weights(5, -1.0, 1.0), np.array([1, 8, 12, 8, 1]) / 15, rtol=0, atol=1e-15)
 
 
 def test_quadrature_exact_on_polynomials():
@@ -169,10 +169,10 @@ def test_fused_evaluator_matches_explicit_rows():
 
 def test_score_cache_matches_fresh_evaluation():
     # snapshot derivative cores are cached across calls; any call order must
-    # give exactly what a fresh trajectory gives. Scores are read through the
-    # snapshot chopped to its Chebyshev degree (mode 1 here is even in y and
-    # drops its zero top coefficient), so the full-grid interpolant's score
-    # is matched to a stated bound: 1e-12 of the largest, measured 1.5e-14
+    # give exactly what a fresh trajectory gives. Mode 1 here is even in y, so
+    # its top Chebyshev coefficient is exactly zero; chopping it would save
+    # one node, so every mode keeps its 24 and the score is the full-grid
+    # interpolant's, bit for bit
     grid = ChebGrid.uniform(2, 24, -6.0, 6.0)
     f = lambda x, y: np.exp(-(x**2 + y**2) / 3) * (1.5 + np.sin(x) * np.cos(y))
     p0 = _smooth_tt(grid, f, tol=1e-12)
@@ -184,10 +184,9 @@ def test_score_cache_matches_fresh_evaluation():
         fresh = DensityTrajectory(grid=grid, h=traj.h, snapshots=traj.snapshots)
         assert np.array_equal(got, fresh.score_at(m, x)), m
         vals, grads = interp_value_and_grad(traj.snapshots[m], grid, x)
-        full = grads / vals[:, None]
-        assert np.abs(got - full).max() <= 1e-12 * np.abs(full).max(), m
+        assert np.array_equal(got, grads / vals[:, None]), m
         held, chopped, chopped_grid, cores = traj._cached
-        assert held == m and chopped_grid.ns == traj.score_nodes[m] == (24, 23)
+        assert held == m and chopped_grid.ns == traj.score_nodes[m] == (24, 24)
         for c, ref in zip(cores, value_grad_cores(chopped, chopped_grid)):
             assert np.array_equal(c, ref), m
     assert traj.floor_hits == 0

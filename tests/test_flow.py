@@ -306,8 +306,14 @@ def test_paths_and_straightness():
     iso = AnalyticGaussianFlow(GaussianSpec(np.zeros(2), 2 * np.eye(2)), 5.0, 50)
     res_iso = flow_integrate(iso, x0)
     assert straightness_diagnostic(res_iso.states).max() < 1e-6
-    with pytest.raises(InvalidShapeError):
-        straightness_diagnostic(res.states[:, :0, :])
+    # a path with a non-finite state reads NaN and leaves the others as they were
+    failed = res_bend.states.copy()
+    failed[-1, 0, 1], failed[3, 2, 0] = np.nan, np.inf
+    got = straightness_diagnostic(failed)
+    assert np.isnan(got[[0, 2]]).all() and got[1] == diag[1]
+    for empty in (res.states[:, :0, :], res.states[:0], res.states[0]):
+        with pytest.raises(InvalidShapeError):
+            straightness_diagnostic(empty)
 
 
 def test_translation_paths_are_straight():

@@ -293,13 +293,13 @@ def test_score_floor_counts_hits():
     traj.score_at(0, np.array([[0.1, 0.2]]))
     assert traj.floor_hits == 2
     # the 4x snapshot is floored at p0's value too, so its score on the zero
-    # column is 4x snapshot 0's there, not equal to it. The score reads the
-    # snapshot chopped to its Chebyshev degree (mode 1 is even and drops its
-    # zero top coefficient), so the gradient is that snapshot's
+    # column is 4x snapshot 0's there, not equal to it. Mode 1 is even, so
+    # its top Chebyshev coefficient is exactly zero; chopping it would save
+    # one node, so the score reads the full 32 x 32 snapshot
     out_big = traj.score_at(1, pts)
     assert traj.floor_hits == 4
     _, chopped, chopped_grid, _ = traj._cached
-    assert chopped_grid.ns == (32, 31)
+    assert chopped_grid.ns == (32, 32)
     vals, grads = interp_value_and_grad(chopped, chopped_grid, pts)
     assert np.all(vals == 0.0) and np.abs(grads[:, 0]).min() > 0
     np.testing.assert_allclose(out_big, grads / traj.floor, rtol=1e-14)
@@ -357,7 +357,8 @@ def test_late_snapshots_keep_at_most_half_the_nodes(mixture_flow):
 
 
 def test_chop_keeps_the_last_coefficient_above_tolerance(mixture_flow):
-    # reference coefficients from a DCT-I of the reversed (descending) nodes
+    # reference coefficients from a DCT-I of the reversed (descending) nodes;
+    # a chop that would save a single node keeps all n
     traj, _ = mixture_flow
     for m in (0, 1, 8, traj.n_steps):
         for core, kept in zip(traj.snapshots[m].cores, traj.score_nodes[m]):
@@ -366,8 +367,8 @@ def test_chop_keeps_the_last_coefficient_above_tolerance(mixture_flow):
             coef = dct(vals, type=1, axis=0) / (n - 1)
             coef[[0, -1]] /= 2
             mags = np.abs(coef).max(axis=1)
-            above = mags > CHOP_TOL * mags.max()
-            assert above[kept - 1] and not above[kept:].any(), (m, kept)
+            last = np.flatnonzero(mags > CHOP_TOL * mags.max())[-1] + 1
+            assert kept == (n if last >= n - 1 else max(last, 2)), (m, kept, last)
 
 
 def test_undecayed_snapshot_keeps_the_full_grid():

@@ -8,6 +8,7 @@ import pytest
 from ttflow import cross
 from ttflow.densities import diag_gaussian_tt, normalize_and_certify
 from ttflow.errors import ConfigError, NumericalDomainError
+from ttflow.flow import PointCloud
 from ttflow.harness import (PRESETS, ExperimentConfig, _build_density, _child_seed,
                             aggregate_table, config_from_dict, dump_trajectories,
                             gaussian_check, run_one, run_suite)
@@ -256,6 +257,47 @@ def test_run_suite_lets_programming_errors_propagate(monkeypatch):
     monkeypatch.setattr(H, "run_one", broken)
     with pytest.raises(TypeError, match="not a density failure"):
         run_suite(ExperimentConfig(**TOY))
+
+
+def _failing_flow(monkeypatch, rows):
+    """Make the real flow fail the paths ``rows`` of every density, marked
+    as the flow marks them: NaN in the last state and listed in failed_ids."""
+    import ttflow.harness as H
+
+    real, starts = H.flow_integrate, []
+
+    def failing(provider, x0):
+        res = real(provider, x0)
+        starts.append(x0.points)
+        states = res.states.copy()
+        states[-1, rows] = np.nan
+        return res._replace(x1=PointCloud(points=states[-1]), states=states,
+                            failed_ids=sorted(rows))
+
+    monkeypatch.setattr(H, "flow_integrate", failing)
+    return starts
+
+
+def test_failed_path_is_left_out_of_the_comparison(monkeypatch):
+    import ttflow.harness as H
+
+    starts, seen = _failing_flow(monkeypatch, [2]), []
+    real_compare = H.compare
+    monkeypatch.setattr(H, "compare", lambda x, y: seen.append((x, y)) or real_compare(x, y))
+    rep = run_one(ExperimentConfig(**TOY), 0)
+    assert rep["excluded"] == 1 and rep["flow"]["failed_ids"] == [2]
+    assert rep["n"] == len(rep["assignment"]) == TOY["n_samples"] - 1
+    (x, y), = seen
+    assert np.array_equal(x, np.delete(starts[0], 2, axis=0))
+    assert np.isfinite(x).all() and np.isfinite(y).all()
+
+
+def test_density_whose_every_path_fails_is_a_budgeted_failure(monkeypatch):
+    _failing_flow(monkeypatch, list(range(TOY["n_samples"])))
+    s = run_suite(ExperimentConfig(**dict(TOY, n_densities=1)))
+    assert s["n_completed"] == 0 and s["n_failed"] == 1
+    assert s["failures"][0]["error"] == ("DegenerateCostError: all rows excluded, "
+                                         "nothing to compare")
 
 
 def test_summary_counts_unconverged_cross(monkeypatch):

@@ -64,7 +64,7 @@ def test_monotone_pairing_is_optimal():
     assert abs(rep.epsilon_rel) <= 1e-12
     assert rep.epsilon_rel >= -1e-12
     assert rep.identity_fraction == 1.0
-    assert rep.excluded == 0
+    assert rep.n == 120
 
 
 def test_degenerate_costs():
@@ -76,18 +76,21 @@ def test_degenerate_costs():
         compare(x, x[::-1].copy())
 
 
-def test_exclusion_of_nonfinite_rows():
+def test_nonfinite_entries_are_rejected():
+    # the flow decides which paths count (its ``failed_ids``); a non-finite
+    # entry that reaches the comparison is the caller's error, never a NaN
+    # cost or scipy's ValueError
     rng = np.random.default_rng(1)
     x = rng.standard_normal((10, 2))
     y = x + 0.01 * rng.standard_normal((10, 2))
-    y[4, 0] = np.nan
-    y[7, 1] = np.inf
-    rep = compare(x, y)
-    assert rep.excluded == 2
-    assert rep.n == 8
-    assert len(rep.assignment) == 8
-    with pytest.raises(DegenerateCostError):
-        compare(x, np.full_like(y, np.nan))
+    for bad in (np.nan, np.inf, -np.inf):
+        for side in (0, 1):
+            clouds = [x.copy(), y.copy()]
+            clouds[side][4, side] = bad
+            for fn in (compare, ot_assignment, paired_cost):
+                with pytest.raises(InvalidShapeError, match="finite"):
+                    fn(*clouds)
+    assert compare(x, y).n == 10
 
 
 def test_shape_validation():

@@ -4,8 +4,10 @@ Nodes are Chebyshev-Gauss-Lobatto points mapped affinely to [a, b] and stored
 in ascending order. Differentiation matrices use the barycentric form with the
 negative-sum trick for the diagonal. Quadrature weights are Clenshaw-Curtis,
 exact for polynomials of degree <= n-1: they integrate the interpolant's
-Chebyshev series, read through the values-to-coefficients matrix. Nodes,
-differentiation matrices and weights are cached per (n, a, b), the
+Chebyshev series, read through the values-to-coefficients matrix. The
+antiderivative matrix takes those coefficients to the series of the integral
+from a, the interpolant's exact CDF. Nodes, differentiation and
+antiderivative matrices and weights are cached per (n, a, b), the
 values-to-coefficients matrix per n, and all are returned read-only.
 
 Interpolation uses the second barycentric form: the differences pts_i - x_j
@@ -71,6 +73,28 @@ def cc_weights(n: int, a: float, b: float) -> np.ndarray:
     w = (b - a) / 2.0 * (coeff_matrix(n).T @ mu)
     w.flags.writeable = False
     return w
+
+
+@functools.lru_cache(maxsize=16)
+def antideriv_matrix(n: int, a: float, b: float) -> np.ndarray:
+    """(n+1) x n map from the Chebyshev coefficients c_0..c_{n-1} of a
+    degree <= n-1 polynomial f on [a, b] to those of its antiderivative
+    F(x) = int_a^x f, both in the variable s mapped to [-1, 1].
+
+    With int T_0 = T_1, int T_1 = T_2/4 and int T_k = T_{k+1}/(2(k+1)) -
+    T_{k-1}/(2(k-1)), times dx/ds = (b-a)/2; row 0 sets F(a) = 0. Summed
+    over its rows (F at b) and times ``coeff_matrix(n)`` it gives the
+    Clenshaw-Curtis weights.
+    """
+    k = np.arange(2, n)
+    m = np.zeros((n + 1, n))
+    m[1, 0], m[2, 1] = 1.0, 0.25
+    m[k + 1, k] = 0.5 / (k + 1)
+    m[k - 1, k] = -0.5 / (k - 1)
+    m[0] = -(m[1:] * (-1.0) ** np.arange(1, n + 1)[:, None]).sum(axis=0)  # T_j(-1) = (-1)^j
+    m *= (b - a) / 2.0
+    m.flags.writeable = False
+    return m
 
 
 @functools.lru_cache(maxsize=16)

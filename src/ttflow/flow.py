@@ -1,5 +1,14 @@
 """Sampling from TT densities and probability-flow transport of the samples.
 
+The sampler draws one coordinate at a time, each from its 1-d conditional by
+inverse CDF. The CDF is the exact antiderivative of the conditional's raw
+Chebyshev interpolant, so it dips wherever the interpolant has a negative
+lobe. The law sampled is that CDF made non-decreasing by its running maximum
+over the nodes: a target u * total (total, the largest node CDF) is solved
+for inside the first node interval whose CDF reaches it, by safeguarded
+Newton with bisection, until |F - target| <= 8 eps total or the bracket is
+narrower than 1e-13 (b - a).
+
 The flow ODE is dx/dt = -[x + grad log p_t(x)]. The integrator takes one
 classical RK4 step of size 2h per pair of snapshot intervals: step j reads
 snapshot 2j for its first stage, snapshot 2j+1 for both midpoint stages and
@@ -16,12 +25,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chebyshev import ChebGrid
+from .chebyshev import ChebGrid, antideriv_matrix, coeff_matrix
 from .errors import ConfigError, InvalidShapeError, SamplingError
 from .tt import TTTensor
 
-_FINE = 2048  # refined 1-d grid for inverse-CDF sampling
-_CHUNK = 128  # samples per block; bounds the (block, _FINE) temporaries
+_RESID_TOL = 8 * np.finfo(np.float64).eps  # |F - target| stop, times the total
+_BRACKET_TOL = 1e-13  # bracket-width stop, times the box width b - a
 _CHORD_FLOOR = 1e-6  # shorter start-end chords are transport noise, not paths
 
 
@@ -57,15 +66,23 @@ def sample_tt(p: TTTensor, grid: ChebGrid, n: int, seed: int) -> PointCloud:
 
     Mode k's 1-d conditional combines trailing cores contracted with the
     quadrature weights and leading cores contracted with interpolation rows
-    at the coordinates already drawn; it is sampled by inverse CDF on a
-    2048-point refinement with negative interpolant values clamped to 0.
+    at the coordinates already drawn. Its node values go to Chebyshev
+    coefficients (``coeff_matrix``) and on to the exact CDF F of the raw
+    interpolant (``antideriv_matrix``), negative lobes included, which F
+    keeps as dips. The law sampled is F made non-decreasing by its running
+    maximum: total is the largest node CDF, and draw u becomes a root of
+    F(x) = u * total inside the first node interval whose CDF reaches
+    u * total. ``_invert_cdf`` finds it by safeguarded Newton with bisection
+    and stops a row once |F - u * total| <= 8 eps total or its bracket is
+    narrower than 1e-13 (b - a). A total that is not positive and finite
+    raises ``SamplingError``. The draws from ``seed`` are n uniforms per mode.
     """
     if n < 1:
         raise InvalidShapeError(f"need n >= 1, got {n}")
     if p.mode_sizes != grid.mode_sizes:
         raise InvalidShapeError(
             f"density mode sizes {p.mode_sizes} do not match grid {grid.mode_sizes}")
-    d = grid.d
+    d, a, b = grid.d, grid.a, grid.b
     rng = np.random.default_rng(seed)
 
     # nodal[k] (r, n_k): core k times the quadrature of modes k+1..d-1
@@ -74,35 +91,76 @@ def sample_tt(p: TTTensor, grid: ChebGrid, n: int, seed: int) -> PointCloud:
         nodal[k] = p.cores[k] @ tail
         tail = nodal[k] @ grid.quad_weights(k)
 
-    fine = np.linspace(grid.a, grid.b, _FINE)
-    dx = fine[1] - fine[0]
     out = np.empty((n, d))
     left = np.ones((n, 1))
     for k in range(d):
         u = rng.random(n)
-        refine = grid.interp_rows(k, fine)  # (_FINE, n_k)
-        for lo in range(0, n, _CHUNK):
-            sl = slice(lo, min(lo + _CHUNK, n))
-            vals = left[sl] @ nodal[k]
-            dens = np.maximum(vals @ refine.T, 0.0)
-            seg = 0.5 * (dens[:, 1:] + dens[:, :-1]) * dx
-            cdf = np.concatenate(
-                [np.zeros((dens.shape[0], 1)), np.cumsum(seg, axis=1)], axis=1)
-            total = cdf[:, -1]
-            if np.any(total <= 0) or not np.isfinite(total).all():
-                bad = int(np.where((total <= 0) | ~np.isfinite(total))[0][0])
-                raise SamplingError(
-                    f"conditional density for sample {lo + bad} integrates to "
-                    f"{total[bad]} at mode {k}; prefix {out[lo + bad, :k]}")
-            target = u[sl] * total
-            j = np.clip(np.sum(cdf <= target[:, None], axis=1) - 1, 0, _FINE - 2)
-            rows = np.arange(dens.shape[0])
-            gap = cdf[rows, j + 1] - cdf[rows, j]
-            frac = np.where(gap > 0, (target - cdf[rows, j]) / np.maximum(gap, 1e-300), 0.5)
-            out[sl, k] = fine[j] + np.clip(frac, 0.0, 1.0) * dx
+        nk = grid.ns[k]
+        # node values -> interpolant coefficients | its antiderivative's
+        to_coef = coeff_matrix(nk).T
+        to_coef = np.concatenate([to_coef, to_coef @ antideriv_matrix(nk, a, b).T], axis=1)
+        # T_j at ascending node i is cos(j pi (n-1-i) / (n-1))
+        at_nodes = np.cos(np.outer(np.pi * np.arange(nk - 1, -1, -1) / (nk - 1),
+                                   np.arange(nk + 1)))
+        coef = (left @ nodal[k]) @ to_coef
+        cdf = coef[:, nk:] @ at_nodes.T
+        total = cdf.max(axis=1)
+        if np.any(total <= 0) or not np.isfinite(total).all():
+            bad = int(np.where((total <= 0) | ~np.isfinite(total))[0][0])
+            raise SamplingError(
+                f"conditional density for sample {bad} integrates to "
+                f"{total[bad]} at mode {k}; prefix {out[bad, :k]}")
+        out[:, k] = _invert_cdf(coef, cdf, u * total, _RESID_TOL * total, grid.nodes(k), a, b)
         interp = grid.interp_rows(k, out[:, k])
         left = np.einsum("nr,nrs->ns", left, np.tensordot(interp, p.cores[k], (1, 1)))
     return PointCloud(points=out)
+
+
+def _invert_cdf(coef, cdf, target, tol, nodes, a, b) -> np.ndarray:
+    """Per row, a root of F(x) = target inside the first node interval whose
+    CDF (row of ``cdf``, at the ascending ``nodes`` of [a, b]) reaches it.
+
+    Row i of ``coef`` holds the Chebyshev coefficients of the density
+    (n columns) and then of its antiderivative F (n + 1). From the secant
+    point, each step evaluates F and the density at the row's iterate,
+    moves the bracket end on the iterate's side of the target, and takes
+    the Newton step if it lands strictly inside the bracket and is at most
+    half the previous step, else bisects. A row stops once |F - target| <=
+    ``tol`` or its bracket is narrower than ``_BRACKET_TOL`` (b - a). Every
+    row stops: a Newton step on an unstopped row is at least ``tol`` over the
+    largest density, so the halving rule forces a bisection within a bounded
+    number of steps, and each bisection halves the bracket.
+    """
+    # node 0 holds F(a) = 0, so the bracket starts at node 1 at the latest
+    right = np.maximum((cdf >= target[:, None]).argmax(axis=1), 1)
+    rows = np.arange(len(target))
+    lo, hi = nodes[right - 1], nodes[right]
+    f_lo, f_hi = cdf[rows, right - 1], cdf[rows, right]
+    n = coef.shape[1] // 2
+    j = np.arange(n + 1)
+    gap = f_hi - f_lo
+    frac = np.divide(target - f_lo, gap, out=np.full_like(gap, 0.5), where=gap > 0)
+    x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+    step = hi - lo
+    out = x.copy()
+    width_tol = _BRACKET_TOL * (b - a)
+    while rows.size:
+        theta = np.arccos(np.clip((2.0 * x - (a + b)) / (b - a), -1.0, 1.0))
+        cheb = np.cos(theta[:, None] * j)
+        resid = np.einsum("ij,ij->i", cheb, coef[:, n:]) - target
+        dens = np.einsum("ij,ij->i", cheb[:, :n], coef[:, :n])
+        below = resid < 0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        out[rows] = x
+        newton = x - np.divide(resid, dens, out=np.full_like(resid, np.inf), where=dens > 0)
+        take = (newton > lo) & (newton < hi) & (np.abs(newton - x) <= 0.5 * step)
+        nxt = np.where(take, newton, 0.5 * (lo + hi))
+        step = np.abs(nxt - x)
+        keep = (np.abs(resid) > tol) & (hi - lo >= width_tol)
+        rows, coef, target, tol = rows[keep], coef[keep], target[keep], tol[keep]
+        x, lo, hi, step = nxt[keep], lo[keep], hi[keep], step[keep]
+    return out
 
 
 def flow_integrate(provider, x0: PointCloud) -> FlowResult:

@@ -286,13 +286,18 @@ def _oracle(run: _Run, t_max: float) -> dict:
 
 def _report(config: ExperimentConfig, index: int) -> dict:
     """The one per-density report; a Gaussian density's carries its ``oracle``.
-    ``compare`` reads the finite paths and ``excluded`` counts the failed ones."""
+    ``compare`` reads the finite paths and ``excluded`` counts the failed ones.
+    ``assignment`` is by sample row: entry i is the row whose endpoint sample
+    i is assigned to, None for a row in the flow's ``failed_ids``."""
     run = _pipeline(config, index)
     t0 = time.perf_counter()
     x0, x1 = _finite_paths(run)
     if not len(x0):
         raise DegenerateCostError("all rows excluded, nothing to compare")
     report = dict(asdict(compare(x0, x1)), excluded=len(run.flow.failed_ids))
+    kept = np.delete(np.arange(run.x0.n), run.flow.failed_ids).tolist()
+    to_row = dict(zip(kept, (kept[j] for j in report["assignment"])))
+    report["assignment"] = [to_row.get(i) for i in range(run.x0.n)]
     timings = dict(run.timings, compare_s=time.perf_counter() - t0)
     if run.spec is not None:
         t0 = time.perf_counter()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ttflow.chebyshev import (ChebGrid, barycentric_weights, cc_weights,
-                              cheb_nodes, diff_matrix, interp_matrix,
+from ttflow.chebyshev import (ChebGrid, antideriv_matrix, barycentric_weights,
+                              cc_weights, cheb_nodes, coeff_matrix, diff_matrix,
+                              interp_matrix,
                               interp_value_and_grad, value_grad_cores)
 from ttflow.errors import DomainBoundsError, InvalidShapeError
 from ttflow.fpe import DensityTrajectory, fpe_solve
@@ -63,6 +64,38 @@ def test_quadrature_spectral_on_gaussian():
     x = cheb_nodes(96, -8.0, 8.0)
     v = np.exp(-(x**2) / 2) / np.sqrt(2 * np.pi)
     assert w @ v == pytest.approx(1.0, abs=1e-12)
+
+
+def test_antiderivative_exact_at_nodes_on_polynomials():
+    # F = int_a^x p for random p of degree <= n-1, against numpy's closed form
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 8, 33, 64, 100):
+        for a, b in ((-8.0, 8.0), (-3.0, 5.0)):
+            x = cheb_nodes(n, a, b)
+            s = (2.0 * x - (a + b)) / (b - a)
+            for _ in range(5):
+                deg = int(rng.integers(0, n))
+                p = np.polynomial.Polynomial(rng.standard_normal(deg + 1), domain=[a, b])
+                big_c = antideriv_matrix(n, a, b) @ (coeff_matrix(n) @ p(x))
+                exact = p.integ(lbnd=a)(x)
+                got = np.polynomial.chebyshev.chebval(s, big_c)
+                assert np.abs(got - exact).max() <= 1e-13 * max(np.abs(exact).max(), 1.0)
+
+
+def test_antiderivative_at_b_is_the_quadrature_rule():
+    for a, b in ((-8.0, 8.0), (-3.0, 5.0)):
+        for n in range(2, 66):  # entry by entry, the small end weights included
+            w = cc_weights(n, a, b)
+            at_b = antideriv_matrix(n, a, b).sum(axis=0) @ coeff_matrix(n)
+            assert (np.abs(at_b - w) / np.abs(w)).max() <= 1e-14
+        for n in (100, 250):
+            w = cc_weights(n, a, b)
+            at_b = antideriv_matrix(n, a, b).sum(axis=0) @ coeff_matrix(n)
+            assert np.abs(at_b - w).max() <= 1e-14 * np.abs(w).max()
+    m = antideriv_matrix(12, -8.0, 8.0)
+    assert m.shape == (13, 12) and not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
 
 
 def test_interp_matrix_identity_at_nodes():

@@ -75,38 +75,27 @@ def test_sampler_respects_correlations():
     assert same_sign > 0.95
 
 
-def test_sampler_blocks_do_not_change_samples(monkeypatch):
-    grid = ChebGrid.uniform(3, 24, -8.0, 8.0)
-    from ttflow.tt import tt_add
-
-    p = tt_scale(tt_add(_norm_tt(grid, [-1.0, 0.5, 0.0], [1.0, 2.0, 0.7]),
-                        _norm_tt(grid, [1.5, -1.0, 0.5], 0.6)), 0.5)
-    ref = sample_tt(p, grid, 300, seed=4)
-    monkeypatch.setattr(flow, "_CHUNK", 7)
-    assert np.array_equal(sample_tt(p, grid, 300, seed=4).points, ref.points)
-
-
-def _einsum_sampler(p, grid, n, seed):
-    # the sampler with each conditional and each leading contraction written
-    # as one three-operand einsum, per sample block as in ``sample_tt``
+def _trapezoid_sampler(p, grid, n, seed, fine_n=2 ** 16):
+    # inverse CDF of the clamped interpolant's trapezoid rule on a fine uniform
+    # grid, each conditional and leading contraction written as one einsum
     d, rng = grid.d, np.random.default_rng(seed)
     suffix = [np.ones(1)] * (d + 1)
     for k in range(d - 1, -1, -1):
         suffix[k] = np.einsum("j,rjs,s->r", grid.quad_weights(k), p.cores[k], suffix[k + 1])
-    fine = np.linspace(grid.a, grid.b, flow._FINE)
+    fine = np.linspace(grid.a, grid.b, fine_n)
     dx = fine[1] - fine[0]
     out, left = np.empty((n, d)), np.ones((n, 1))
     for k in range(d):
         u = rng.random(n)
         refine = grid.interp_rows(k, fine)
-        for lo in range(0, n, flow._CHUNK):
-            sl = slice(lo, min(lo + flow._CHUNK, n))
+        for lo in range(0, n, 16):  # bounds the (16, fine_n) temporaries
+            sl = slice(lo, min(lo + 16, n))
             vals = np.einsum("nr,rjs,s->nj", left[sl], p.cores[k], suffix[k + 1])
             dens = np.maximum(vals @ refine.T, 0.0)
             cdf = np.concatenate([np.zeros((dens.shape[0], 1)), np.cumsum(
                 0.5 * (dens[:, 1:] + dens[:, :-1]) * dx, axis=1)], axis=1)
             target = u[sl] * cdf[:, -1]
-            j = np.clip(np.sum(cdf <= target[:, None], axis=1) - 1, 0, flow._FINE - 2)
+            j = np.clip(np.sum(cdf <= target[:, None], axis=1) - 1, 0, fine_n - 2)
             rows = np.arange(dens.shape[0])
             gap = cdf[rows, j + 1] - cdf[rows, j]
             frac = np.where(gap > 0, (target - cdf[rows, j]) / np.maximum(gap, 1e-300), 0.5)
@@ -116,18 +105,85 @@ def _einsum_sampler(p, grid, n, seed):
     return out
 
 
-def test_sampler_matches_einsum_contractions():
+def _mixture_and_ttrandom(sizes):
+    """Quartic mixtures (d2, d3; seed 3) and a d7 tt-random density (seed 2)
+    on grids of ``sizes`` nodes per mode."""
     cases = []
-    for d, n_grid in ((2, 40), (3, 24)):
+    for d, n_grid in zip((2, 3), sizes):
         grid = ChebGrid.uniform(d, n_grid, -8.0, 8.0)
         cases.append((normalize_and_certify(gen_quartic_mixture(d, seed=3)[1], grid).tensor,
                       grid))
         assert max(cases[-1][0].ranks) > 1
-    grid = ChebGrid.uniform(7, 16, -8.0, 8.0)
+    grid = ChebGrid.uniform(7, sizes[2], -8.0, 8.0)
     cases.append((normalize_and_certify(gen_tt_random(grid, seed=2), grid).tensor, grid))
-    for p, grid in cases:
-        got = sample_tt(p, grid, 300, seed=6).points
-        assert np.abs(got - _einsum_sampler(p, grid, 300, 6)).max() <= 1e-13, grid.d
+    return cases
+
+
+def test_sampler_matches_a_fine_trapezoid_reference():
+    # on grids that resolve the density the interpolant is non-negative up to
+    # rounding, so its exact CDF and a 2^16-point trapezoid sample one law.
+    # Measured: 3.4e-8 (d2/96), 1.9e-7 (d3/100), 3.2e-7 (d7/50); a 2,048-point
+    # trapezoid sampler reads 3.6e-5, 6.2e-5 and 4.0e-5 on the same cases
+    for p, grid in _mixture_and_ttrandom((96, 100, 50)):
+        got = sample_tt(p, grid, 200, seed=6).points
+        assert np.abs(got - _trapezoid_sampler(p, grid, 200, 6)).max() <= 2e-6, grid.d
+
+
+def _node_cdf(p, grid, prefix, k):
+    """Per row of the drawn coordinates ``prefix`` (m, k): the Chebyshev series
+    of mode k's conditional CDF (numpy's ``chebint``, columns by row) and its
+    values at the mode's nodes (m, n_k)."""
+    suffix = np.ones(1)
+    for j in range(grid.d - 1, k, -1):
+        suffix = np.einsum("j,rjs,s->r", grid.quad_weights(j), p.cores[j], suffix)
+    left = np.ones((len(prefix), 1))
+    for j in range(k):
+        left = np.einsum("nr,rjs,nj->ns", left, p.cores[j], grid.interp_rows(j, prefix[:, j]))
+    vals = np.einsum("nr,rjs,s->nj", left, p.cores[k], suffix)
+    a, b = grid.a, grid.b
+    s = (2.0 * grid.nodes(k) - (a + b)) / (b - a)
+    cheb = np.polynomial.chebyshev
+    series = cheb.chebint(cheb.chebfit(s, vals.T, len(s) - 1), lbnd=-1, scl=(b - a) / 2)
+    return series, cheb.chebval(s, series)
+
+
+def test_sampler_takes_the_first_node_interval_reaching_the_target():
+    # under-resolved grids: the raw interpolants have negative lobes (their
+    # node CDFs dip by 5e-4 to 0.9 of the total), and a sample is a root of
+    # F = u * total in the first node interval whose CDF reaches u * total,
+    # where total is the largest node CDF
+    for p, grid in _mixture_and_ttrandom((40, 24, 16)):
+        a, b = grid.a, grid.b
+        x = sample_tt(p, grid, 200, seed=6).points
+        assert np.array_equal(x, sample_tt(p, grid, 200, seed=6).points)
+        assert ((a <= x) & (x <= b)).all()
+        rng, dip = np.random.default_rng(6), 0.0
+        for k in range(grid.d):
+            series, cdf = _node_cdf(p, grid, x[:, :k], k)
+            total = cdf.max(axis=1)
+            dip = max(dip, ((np.maximum.accumulate(cdf, axis=1) - cdf).max(axis=1) / total).max())
+            target = rng.random(len(x)) * total
+            hi = np.maximum((cdf >= target[:, None]).argmax(axis=1), 1)
+            nodes, slack = grid.nodes(k), 1e-12 * (b - a)
+            assert (nodes[hi - 1] - slack <= x[:, k]).all() and (x[:, k] <= nodes[hi] + slack).all()
+            at_x = np.polynomial.chebyshev.chebval((2.0 * x[:, k] - (a + b)) / (b - a), series,
+                                                   tensor=False)
+            assert (np.abs(at_x - target) <= 1e-13 * total).all(), (grid.d, k)
+        assert dip > 1e-4, grid.d
+
+
+def test_cdf_inversion_bisects_where_newton_cannot_step():
+    # F = 7 T_0 + 8 T_1 + T_2 = (s + 1)(2 s + 6) rises from 0 to 16 over
+    # [-8, 8] (x = 8 s); with a zero density column no Newton step is
+    # defined, and bisection alone must stop every row at the root
+    a, b, n = -8.0, 8.0, 4
+    coef = np.zeros((5, 2 * n + 1))
+    coef[:, n:n + 3] = [7.0, 8.0, 1.0]
+    target = np.array([0.0, 1e-9, 3.0, 7.77, 16.0])
+    x = flow._invert_cdf(coef, np.tile([0.0, 16.0], (5, 1)), target,
+                         np.full(5, 8 * np.finfo(float).eps * 16.0), np.array([a, b]), a, b)
+    root = 8.0 * (np.sqrt(16.0 + 8.0 * target) - 8.0) / 4.0
+    assert np.abs(x - root).max() <= 1e-13 * (b - a)
 
 
 def test_flow_requires_provider_box():

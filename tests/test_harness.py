@@ -12,6 +12,7 @@ from ttflow.flow import PointCloud
 from ttflow.harness import (PRESETS, ExperimentConfig, _build_density, _child_seed,
                             aggregate_table, config_from_dict, dump_trajectories,
                             gaussian_check, run_one, run_suite)
+from ttflow.transport import ot_assignment
 
 TOY = dict(d=2, n_grid=32, m_steps=8, family="quartic-mixture",
            n_samples=25, n_densities=3, seed=5)
@@ -286,8 +287,13 @@ def test_failed_path_is_left_out_of_the_comparison(monkeypatch):
     monkeypatch.setattr(H, "compare", lambda x, y: seen.append((x, y)) or real_compare(x, y))
     rep = run_one(ExperimentConfig(**TOY), 0)
     assert rep["excluded"] == 1 and rep["flow"]["failed_ids"] == [2]
-    assert rep["n"] == len(rep["assignment"]) == TOY["n_samples"] - 1
+    assert rep["n"] == TOY["n_samples"] - 1
+    # the assignment is by sample row; the failed row has no partner
+    assert len(rep["assignment"]) == TOY["n_samples"] and rep["assignment"][2] is None
     (x, y), = seen
+    kept = [i for i in range(TOY["n_samples"]) if i != 2]
+    perm, _ = ot_assignment(x, y)
+    assert [rep["assignment"][i] for i in kept] == [kept[j] for j in perm]
     assert np.array_equal(x, np.delete(starts[0], 2, axis=0))
     assert np.isfinite(x).all() and np.isfinite(y).all()
 
@@ -314,6 +320,26 @@ def test_run_suite_parallel_matches_serial():
     assert serial["config"].pop("workers") == 1
     assert parallel["config"].pop("workers") == 2
     assert serial == parallel
+
+
+def test_suite_files_repeat_across_reruns_and_worker_counts(tmp_path):
+    # the written reports and summary repeat exactly, timing fields aside; the
+    # worker count is the one config field that differs between the runs
+    out = tmp_path / "suite"
+
+    def written(workers):
+        run_suite(ExperimentConfig(**TOY, workers=workers, out=str(out)))
+        files = {}
+        for name in sorted(os.listdir(out)):
+            with open(out / name) as fh:
+                files[name] = _strip_timings(json.load(fh))
+            assert files[name]["config"].pop("workers") == workers
+        return files
+
+    first = written(1)
+    assert len(first) == TOY["n_densities"] + 1
+    assert written(1) == first
+    assert written(2) == first
 
 
 def test_gaussian_check_stationary():

@@ -6,9 +6,11 @@ negative-sum trick for the diagonal. Quadrature weights are Clenshaw-Curtis,
 exact for polynomials of degree <= n-1: they integrate the interpolant's
 Chebyshev series, read through the values-to-coefficients matrix. The
 antiderivative matrix takes those coefficients to the series of the integral
-from a, the interpolant's exact CDF. Nodes, differentiation and
-antiderivative matrices and weights are cached per (n, a, b), the
-values-to-coefficients matrix per n, and all are returned read-only.
+from a, the interpolant's exact CDF, and ``cdf_matrices`` composes the two
+into the maps a sampler needs: node values to both series, and node values
+to the CDF at the nodes. Nodes, differentiation, antiderivative and CDF
+matrices and weights are cached per (n, a, b), the values-to-coefficients
+matrix per n, and all are returned read-only.
 
 Interpolation uses the second barycentric form: the differences pts_i - x_j
 are the rank-2 product [pts, 1] @ [1; -x], rounded once like the subtraction,
@@ -98,6 +100,33 @@ def antideriv_matrix(n: int, a: float, b: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
+def cdf_matrices(n: int, a: float, b: float) -> tuple:
+    """Maps from the values at the n ascending CGL nodes of [a, b]: to the
+    Chebyshev coefficients of their interpolant f followed by those of its
+    CDF F(x) = int_a^x f (n x (2n+1)), and to F at the nodes (n x n)."""
+    to_coef = coeff_matrix(n).T
+    to_cdf = to_coef @ antideriv_matrix(n, a, b).T
+    series = np.concatenate([to_coef, to_cdf], axis=1)
+    at_nodes = to_cdf @ _cheb_at_nodes(n, n + 1).T
+    series.flags.writeable = at_nodes.flags.writeable = False
+    return series, at_nodes
+
+
+def cheb_rows(x: np.ndarray, m: int, a: float, b: float) -> np.ndarray:
+    """T_0..T_{m-1} at the points x of [a, b], mapped to [-1, 1]: (len(x), m).
+    The mapped points are clipped to [-1, 1] before ``arccos``."""
+    theta = np.arccos(np.clip((2.0 * np.asarray(x) - (a + b)) / (b - a), -1.0, 1.0))
+    return np.cos(theta[:, None] * np.arange(m))
+
+
+def _cheb_at_nodes(n: int, m: int) -> np.ndarray:
+    """T_0..T_{m-1} at the n ascending CGL nodes: node i is
+    cos(pi (n-1-i) / (n-1)) on [-1, 1], so T_j there is cos(j pi (n-1-i) / (n-1))."""
+    i = np.arange(n)
+    return np.cos(np.pi * np.outer(i[::-1], np.arange(m)) / (n - 1))
+
+
+@functools.lru_cache(maxsize=16)
 def coeff_matrix(n: int) -> np.ndarray:
     """Values at the n ascending CGL nodes to the Chebyshev coefficients of
     their interpolant, c_0..c_{n-1} in the variable mapped to [-1, 1].
@@ -105,9 +134,7 @@ def coeff_matrix(n: int) -> np.ndarray:
     c_k = 2/(n-1) sum'' f(x_j) T_k(x_j), the sum halving its two endpoint
     terms and c_0, c_{n-1} halved as well (a DCT-I written as a matrix).
     """
-    j = np.arange(n)
-    # ascending node j is cos(pi (n-1-j) / (n-1)) on [-1, 1]
-    v = np.cos(np.pi * np.outer(j, j[::-1]) / (n - 1)) * (2.0 / (n - 1))
+    v = np.ascontiguousarray(_cheb_at_nodes(n, n).T) * (2.0 / (n - 1))
     v[:, [0, -1]] *= 0.5
     v[[0, -1]] *= 0.5
     v.flags.writeable = False

@@ -6,8 +6,8 @@ Chebyshev interpolant, so it dips wherever the interpolant has a negative
 lobe. The law sampled is that CDF made non-decreasing by its running maximum
 over the nodes: a target u * total (total, the largest node CDF) is solved
 for inside the first node interval whose CDF reaches it, by safeguarded
-Newton with bisection, until |F - target| <= 8 eps total or the bracket is
-narrower than 1e-13 (b - a).
+Newton with bisection, until |F - target| <= 8 eps total, the bracket is
+narrower than 1e-13 (b - a) or no double lies strictly inside it.
 
 The flow ODE is dx/dt = -[x + grad log p_t(x)]. The integrator takes one
 classical RK4 step of size 2h per pair of snapshot intervals: step j reads
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chebyshev import ChebGrid, antideriv_matrix, coeff_matrix
+from .chebyshev import ChebGrid, cdf_matrices, cheb_rows
 from .errors import ConfigError, InvalidShapeError, SamplingError
 from .tt import TTTensor
 
@@ -66,16 +66,17 @@ def sample_tt(p: TTTensor, grid: ChebGrid, n: int, seed: int) -> PointCloud:
 
     Mode k's 1-d conditional combines trailing cores contracted with the
     quadrature weights and leading cores contracted with interpolation rows
-    at the coordinates already drawn. Its node values go to Chebyshev
-    coefficients (``coeff_matrix``) and on to the exact CDF F of the raw
-    interpolant (``antideriv_matrix``), negative lobes included, which F
-    keeps as dips. The law sampled is F made non-decreasing by its running
-    maximum: total is the largest node CDF, and draw u becomes a root of
-    F(x) = u * total inside the first node interval whose CDF reaches
-    u * total. ``_invert_cdf`` finds it by safeguarded Newton with bisection
-    and stops a row once |F - u * total| <= 8 eps total or its bracket is
-    narrower than 1e-13 (b - a). A total that is not positive and finite
-    raises ``SamplingError``. The draws from ``seed`` are n uniforms per mode.
+    at the coordinates already drawn. ``cdf_matrices`` takes its node values
+    to the Chebyshev series of the raw interpolant and of its exact CDF F
+    (negative lobes included, which F keeps as dips) and to F at the nodes.
+    The law sampled is F made non-decreasing by its running maximum: total
+    is the largest node CDF, and draw u becomes a root of F(x) = u * total
+    inside the first node interval whose CDF reaches u * total.
+    ``_invert_cdf`` finds it by safeguarded Newton with bisection and stops
+    a row once |F - u * total| <= 8 eps total, its bracket is narrower than
+    1e-13 (b - a) or no double lies strictly inside it. A total that is not
+    positive and finite raises ``SamplingError``. The draws from ``seed``
+    are n uniforms per mode.
     """
     if n < 1:
         raise InvalidShapeError(f"need n >= 1, got {n}")
@@ -95,15 +96,9 @@ def sample_tt(p: TTTensor, grid: ChebGrid, n: int, seed: int) -> PointCloud:
     left = np.ones((n, 1))
     for k in range(d):
         u = rng.random(n)
-        nk = grid.ns[k]
-        # node values -> interpolant coefficients | its antiderivative's
-        to_coef = coeff_matrix(nk).T
-        to_coef = np.concatenate([to_coef, to_coef @ antideriv_matrix(nk, a, b).T], axis=1)
-        # T_j at ascending node i is cos(j pi (n-1-i) / (n-1))
-        at_nodes = np.cos(np.outer(np.pi * np.arange(nk - 1, -1, -1) / (nk - 1),
-                                   np.arange(nk + 1)))
-        coef = (left @ nodal[k]) @ to_coef
-        cdf = coef[:, nk:] @ at_nodes.T
+        to_series, to_node_cdf = cdf_matrices(grid.ns[k], a, b)
+        vals = left @ nodal[k]
+        coef, cdf = vals @ to_series, vals @ to_node_cdf
         total = cdf.max(axis=1)
         if np.any(total <= 0) or not np.isfinite(total).all():
             bad = int(np.where((total <= 0) | ~np.isfinite(total))[0][0])
@@ -126,10 +121,12 @@ def _invert_cdf(coef, cdf, target, tol, nodes, a, b) -> np.ndarray:
     moves the bracket end on the iterate's side of the target, and takes
     the Newton step if it lands strictly inside the bracket and is at most
     half the previous step, else bisects. A row stops once |F - target| <=
-    ``tol`` or its bracket is narrower than ``_BRACKET_TOL`` (b - a). Every
-    row stops: a Newton step on an unstopped row is at least ``tol`` over the
-    largest density, so the halving rule forces a bisection within a bounded
-    number of steps, and each bisection halves the bracket.
+    ``tol``, its bracket is narrower than ``_BRACKET_TOL`` (b - a), or its
+    bisection point is not strictly inside it: far from 0 one ulp of x can
+    exceed the width stop. Every row stops: a Newton step on an unstopped
+    row is at least ``tol`` over the largest density, so the halving rule
+    forces a bisection within a bounded number of steps, and each bisection
+    shrinks the bracket until no double is left strictly inside.
     """
     # node 0 holds F(a) = 0, so the bracket starts at node 1 at the latest
     right = np.maximum((cdf >= target[:, None]).argmax(axis=1), 1)
@@ -137,7 +134,6 @@ def _invert_cdf(coef, cdf, target, tol, nodes, a, b) -> np.ndarray:
     lo, hi = nodes[right - 1], nodes[right]
     f_lo, f_hi = cdf[rows, right - 1], cdf[rows, right]
     n = coef.shape[1] // 2
-    j = np.arange(n + 1)
     gap = f_hi - f_lo
     frac = np.divide(target - f_lo, gap, out=np.full_like(gap, 0.5), where=gap > 0)
     x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
@@ -145,8 +141,7 @@ def _invert_cdf(coef, cdf, target, tol, nodes, a, b) -> np.ndarray:
     out = x.copy()
     width_tol = _BRACKET_TOL * (b - a)
     while rows.size:
-        theta = np.arccos(np.clip((2.0 * x - (a + b)) / (b - a), -1.0, 1.0))
-        cheb = np.cos(theta[:, None] * j)
+        cheb = cheb_rows(x, n + 1, a, b)
         resid = np.einsum("ij,ij->i", cheb, coef[:, n:]) - target
         dens = np.einsum("ij,ij->i", cheb[:, :n], coef[:, :n])
         below = resid < 0
@@ -155,9 +150,10 @@ def _invert_cdf(coef, cdf, target, tol, nodes, a, b) -> np.ndarray:
         out[rows] = x
         newton = x - np.divide(resid, dens, out=np.full_like(resid, np.inf), where=dens > 0)
         take = (newton > lo) & (newton < hi) & (np.abs(newton - x) <= 0.5 * step)
-        nxt = np.where(take, newton, 0.5 * (lo + hi))
+        mid = 0.5 * (lo + hi)
+        nxt = np.where(take, newton, mid)
         step = np.abs(nxt - x)
-        keep = (np.abs(resid) > tol) & (hi - lo >= width_tol)
+        keep = (np.abs(resid) > tol) & (hi - lo >= width_tol) & (lo < mid) & (mid < hi)
         rows, coef, target, tol = rows[keep], coef[keep], target[keep], tol[keep]
         x, lo, hi, step = nxt[keep], lo[keep], hi[keep], step[keep]
     return out

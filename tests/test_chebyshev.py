@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ttflow.chebyshev import (ChebGrid, antideriv_matrix, barycentric_weights,
-                              cc_weights, cheb_nodes, coeff_matrix, diff_matrix,
-                              interp_matrix,
+                              cc_weights, cdf_matrices, cheb_nodes, cheb_rows,
+                              coeff_matrix, diff_matrix, interp_matrix,
                               interp_value_and_grad, value_grad_cores)
 from ttflow.errors import DomainBoundsError, InvalidShapeError
 from ttflow.fpe import DensityTrajectory, fpe_solve
@@ -96,6 +96,25 @@ def test_antiderivative_at_b_is_the_quadrature_rule():
     assert m.shape == (13, 12) and not m.flags.writeable
     with pytest.raises(ValueError):
         m[0, 0] = 1.0
+
+
+def test_cdf_matrices_match_the_series_on_polynomials():
+    # node values of p to [p's series | F's series] and to F at the nodes,
+    # against numpy's closed form; cheb_rows evaluates both series
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 17, 50):
+        for a, b in ((-8.0, 8.0), (1000.0, 1001.0)):
+            x = cheb_nodes(n, a, b)
+            p = np.polynomial.Polynomial(rng.standard_normal(n), domain=[a, b])
+            series, at_nodes = cdf_matrices(n, a, b)
+            assert series.shape == (n, 2 * n + 1) and at_nodes.shape == (n, n)
+            assert not series.flags.writeable and not at_nodes.flags.writeable
+            big_f, scale = p.integ(lbnd=a), max(np.abs(p(x)).max(), 1.0) * (b - a)
+            assert np.abs(p(x) @ at_nodes - big_f(x)).max() <= 1e-13 * scale
+            pts = np.append(rng.uniform(a, b, 20), [a, b])
+            rows, coef = cheb_rows(pts, n + 1, a, b), p(x) @ series
+            assert np.abs(rows[:, :n] @ coef[:n] - p(pts)).max() <= 1e-12 * scale
+            assert np.abs(rows @ coef[n:] - big_f(pts)).max() <= 1e-12 * scale
 
 
 def test_interp_matrix_identity_at_nodes():

@@ -172,6 +172,25 @@ def test_sampler_takes_the_first_node_interval_reaching_the_target():
         assert dip > 1e-4, grid.d
 
 
+def test_sampler_stops_on_an_offset_narrow_box():
+    # on [1000, 1001] one ulp of x (1.1e-13) exceeds the 1e-13 (b - a) width
+    # stop, while F moves by about 4e-13 of the total per ulp near the mode:
+    # a row must stop once no double lies strictly inside its bracket
+    grid = ChebGrid.uniform(2, 48, 1000.0, 1001.0)
+    p = _norm_tt(grid, 1000.5, 0.01)
+    x = sample_tt(p, grid, 300, seed=3).points
+    rng = np.random.default_rng(3)
+    for k in range(2):
+        series, cdf = _node_cdf(p, grid, x[:, :k], k)
+        total = cdf.max(axis=1)
+        target = rng.random(len(x)) * total
+        hi = np.maximum((cdf >= target[:, None]).argmax(axis=1), 1)
+        nodes = grid.nodes(k)
+        assert (nodes[hi - 1] <= x[:, k]).all() and (x[:, k] <= nodes[hi]).all()
+        at_x = np.polynomial.chebyshev.chebval(2.0 * x[:, k] - 2001.0, series, tensor=False)
+        assert (np.abs(at_x - target) <= 1e-11 * total).all(), k
+
+
 def test_cdf_inversion_bisects_where_newton_cannot_step():
     # F = 7 T_0 + 8 T_1 + T_2 = (s + 1)(2 s + 6) rises from 0 to 16 over
     # [-8, 8] (x = 8 s); with a zero density column no Newton step is

@@ -24,7 +24,7 @@ print(f"mixture with {spec.k} component(s)")
 
 cert = normalize_and_certify(density, grid, cross_tol=1e-8, seed=42)
 print(f"certified: boundary/peak ratio {cert.boundary_ratio:.2e}, "
-      f"{cert.rescales} rescale(s), TT ranks {cert.tensor.ranks}")
+      f"{cert.cross_info.n_evals} cross evaluations, TT ranks {cert.tensor.ranks}")
 
 traj = fpe_solve(cert.tensor, grid, cfg.m_steps, cfg.t_max)
 print(f"solved {traj.n_steps} steps, mass drift "

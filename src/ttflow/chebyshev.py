@@ -3,12 +3,12 @@
 Nodes are Chebyshev-Gauss-Lobatto points mapped affinely to [a, b] and stored
 in ascending order. Differentiation matrices use the barycentric form with the
 negative-sum trick for the diagonal. Quadrature weights are Clenshaw-Curtis,
-exact for polynomials of degree <= n-1: they integrate the interpolant's
-Chebyshev series, read through the values-to-coefficients matrix. The
-antiderivative matrix takes those coefficients to the series of the integral
-from a, the interpolant's exact CDF, and ``cdf_matrices`` composes the two
-into the maps a sampler needs: node values to both series, and node values
-to the CDF at the nodes. Nodes, differentiation, antiderivative and CDF
+exact for polynomials of degree <= n-1. The antiderivative matrix takes the
+interpolant's Chebyshev coefficients (the values-to-coefficients matrix) to
+the series of the integral from a, the interpolant's exact CDF; read at b it
+gives the weights, and ``cdf_matrices`` composes the two into the maps a
+sampler needs: node values to both series, and node values to the CDF at
+the nodes. Nodes, differentiation, antiderivative and CDF
 matrices and weights are cached per (n, a, b), the values-to-coefficients
 matrix per n, and all are returned read-only.
 
@@ -66,13 +66,10 @@ def diff_matrix(n: int, a: float, b: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def cc_weights(n: int, a: float, b: float) -> np.ndarray:
-    """Clenshaw-Curtis weights over [a, b] (ascending node order): (b-a)/2
-    coeff_matrix(n)^T mu integrates the interpolant's Chebyshev series, with
-    mu_k = int_{-1}^{1} T_k = 2/(1-k^2) for even k and 0 for odd k."""
-    k = np.arange(0, n, 2)
-    mu = np.zeros(n)
-    mu[k] = 2.0 / (1.0 - k * k)
-    w = (b - a) / 2.0 * (coeff_matrix(n).T @ mu)
+    """Clenshaw-Curtis weights over [a, b] (ascending node order): the
+    antiderivative from a of the interpolant's Chebyshev series, read at b,
+    so the weights, the mass and the sampler's CDF share one integration map."""
+    w = coeff_matrix(n).T @ antideriv_matrix(n, a, b).sum(axis=0)  # T_j(1) = 1
     w.flags.writeable = False
     return w
 
@@ -81,20 +78,9 @@ def cc_weights(n: int, a: float, b: float) -> np.ndarray:
 def antideriv_matrix(n: int, a: float, b: float) -> np.ndarray:
     """(n+1) x n map from the Chebyshev coefficients c_0..c_{n-1} of a
     degree <= n-1 polynomial f on [a, b] to those of its antiderivative
-    F(x) = int_a^x f, both in the variable s mapped to [-1, 1].
-
-    With int T_0 = T_1, int T_1 = T_2/4 and int T_k = T_{k+1}/(2(k+1)) -
-    T_{k-1}/(2(k-1)), times dx/ds = (b-a)/2; row 0 sets F(a) = 0. Summed
-    over its rows (F at b) and times ``coeff_matrix(n)`` it gives the
-    Clenshaw-Curtis weights.
-    """
-    k = np.arange(2, n)
-    m = np.zeros((n + 1, n))
-    m[1, 0], m[2, 1] = 1.0, 0.25
-    m[k + 1, k] = 0.5 / (k + 1)
-    m[k - 1, k] = -0.5 / (k - 1)
-    m[0] = -(m[1:] * (-1.0) ** np.arange(1, n + 1)[:, None]).sum(axis=0)  # T_j(-1) = (-1)^j
-    m *= (b - a) / 2.0
+    F(x) = int_a^x f, both in the variable s mapped to [-1, 1]: numpy's
+    ``chebint`` of each unit series from s = -1, times dx/ds = (b-a)/2."""
+    m = np.polynomial.chebyshev.chebint(np.eye(n), lbnd=-1, scl=(b - a) / 2.0)
     m.flags.writeable = False
     return m
 

@@ -54,6 +54,8 @@ def _cmd_run(args) -> int:
     if oracle["l2_max"] is not None:  # a Gaussian density completed
         line += (f", max L2 err {oracle['l2_max']:.3e}, "
                  f"max map err {oracle['map_discrepancy_finite']:.3e}")
+    if summary["n_cross_unconverged"] > 0:
+        line += f", {summary['n_cross_unconverged']} cross unconverged"
     print(line)
     if args.out:
         print(f"reports in {args.out}")

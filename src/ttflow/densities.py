@@ -5,8 +5,8 @@ components exp(-q1(x) - q2(x)) with q1 quadratic and q2 degree-4 (the
 elementwise square of the centered coordinates contracted against an SPD
 matrix); for higher dimension, a positive random rank-2 TT factor times a
 rank-1 standard Gaussian. Every density entering the solver is normalized on
-the grid and certified to be negligible on all boundary faces; a callable
-density is shrunk toward the box center until the certificate passes.
+the grid and certified to be negligible on all boundary faces; one that is
+not raises ``CertificateError``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .tt import TTTensor, tt_extrema, tt_integrate, tt_mode_apply, tt_scale
 _NORM_N = 72
 
 BOUNDARY_TOL = 1e-12  # largest boundary-face node value over the peak node value
-_MAX_RESCALES = 10  # shrinks of a callable density before certification fails
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,7 @@ def gen_tt_random(grid: ChebGrid, seed: int) -> TTTensor:
 
 class CertifiedDensity(NamedTuple):
     tensor: TTTensor
-    rescales: int
+    rescales: int  # always 0; read only by perfbench's certificate span
     boundary_ratio: float
     cross_info: object
 
@@ -223,36 +222,24 @@ def normalize_and_certify(density, grid: ChebGrid, *, cross_tol: float = 1e-8,
                           seed: int = 0) -> CertifiedDensity:
     """Grid TT representation with unit integral and certified boundary decay.
 
-    ``density`` is either a callable on points of shape (m, d) or an existing
-    TTTensor on this grid. The certificate demands every boundary-face node
-    value be at most ``BOUNDARY_TOL`` times the peak node value. A callable
-    that fails it is shrunk by 0.8 about the box center and retried, up to
-    ``_MAX_RESCALES`` times; a TT input has no values beyond the box to shrink
-    from, so failing the certificate raises at once.
+    ``density`` is either a callable on points of shape (m, d), which becomes
+    a TT on this grid through one ``cross_approximate`` call, or an existing
+    TTTensor on this grid. Either TT then gets unit mass, and the certificate
+    demands every boundary-face node value be at most ``BOUNDARY_TOL`` times
+    the peak node value; a density that fails it raises ``CertificateError``.
+    ``rescales`` is always 0.
     """
     rng = np.random.default_rng(seed)
-    if not callable(density):
-        if density.mode_sizes != grid.mode_sizes:
-            raise InvalidShapeError(
-                f"TT mode sizes {density.mode_sizes} do not match grid {grid.mode_sizes}")
-        t, ratio = normalized_ratio(density, grid, rng)
-        if ratio > BOUNDARY_TOL:
-            raise CertificateError(
-                f"TT input fails the boundary decay certificate "
-                f"(ratio {ratio:.3e} > {BOUNDARY_TOL:.1e})")
-        return CertifiedDensity(t, 0, ratio, None)
-
-    scale = 1.0
-
-    def f(idx):
-        return density(grid.index_to_point(idx) / scale)
-
-    for attempt in range(_MAX_RESCALES + 1):
-        res = cross_approximate(f, grid.mode_sizes, tol=cross_tol, rng=rng)
-        t, ratio = normalized_ratio(res.tensor, grid, rng)
-        if ratio <= BOUNDARY_TOL:
-            return CertifiedDensity(t, attempt, ratio, res)
-        scale *= 0.8
-    raise CertificateError(
-        f"boundary decay certificate unmet after {_MAX_RESCALES} rescales "
-        f"(last ratio {ratio:.3e} > {BOUNDARY_TOL:.1e})")
+    res = None
+    if callable(density):
+        res = cross_approximate(lambda idx: density(grid.index_to_point(idx)),
+                                grid.mode_sizes, tol=cross_tol, rng=rng)
+        density = res.tensor
+    elif density.mode_sizes != grid.mode_sizes:
+        raise InvalidShapeError(
+            f"TT mode sizes {density.mode_sizes} do not match grid {grid.mode_sizes}")
+    t, ratio = normalized_ratio(density, grid, rng)
+    if ratio > BOUNDARY_TOL:
+        raise CertificateError(f"density fails the boundary decay certificate "
+                               f"(ratio {ratio:.3e} > {BOUNDARY_TOL:.1e})")
+    return CertifiedDensity(t, 0, ratio, res)

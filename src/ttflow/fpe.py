@@ -115,7 +115,6 @@ class DensityTrajectory:
     h: float
     snapshots: list
     masses: list = field(default_factory=list)
-    ranks: list = field(default_factory=list)
     floor_hits: int = 0
     floor: float = field(init=False)
     score_nodes: dict = field(default_factory=dict, init=False)
@@ -128,6 +127,10 @@ class DensityTrajectory:
     @property
     def n_steps(self) -> int:
         return len(self.snapshots) - 1
+
+    @property
+    def ranks(self) -> list:
+        return [s.ranks for s in self.snapshots]
 
     @property
     def box(self):
@@ -167,8 +170,8 @@ def fpe_solve(p0: TTTensor, grid: ChebGrid, m_steps: int,
 
     Every step applies the cached step matrix of each mode, rounds to
     ``ROUND_TOL`` (which never raises a rank, so no snapshot outranks p0) and
-    renormalizes to unit mass; the pre-renormalization mass and
-    post-rounding ranks are recorded per step.
+    renormalizes to unit mass; the pre-renormalization mass is recorded per
+    step, and ``ranks`` reads the snapshots' post-rounding ranks.
     """
     if m_steps < 1 or t_max <= 0:
         raise ConfigError(f"need m_steps >= 1 and t_max > 0, got {m_steps}, {t_max}")
@@ -184,7 +187,6 @@ def fpe_solve(p0: TTTensor, grid: ChebGrid, m_steps: int,
     steps = [_step_matrix(n, grid.a, grid.b, h) for n in grid.ns]
     traj = DensityTrajectory(grid=grid, h=h, snapshots=[tt_scale(p0, 1.0 / mass0)])
     traj.masses.append(mass0)
-    traj.ranks.append(p0.ranks)
 
     p = traj.snapshots[0]
     for m in range(1, m_steps + 1):
@@ -197,7 +199,6 @@ def fpe_solve(p0: TTTensor, grid: ChebGrid, m_steps: int,
         p = tt_scale(p, 1.0 / mass)
         traj.snapshots.append(p)
         traj.masses.append(mass)
-        traj.ranks.append(p.ranks)
     return traj
 
 

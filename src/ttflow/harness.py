@@ -172,8 +172,7 @@ def _build_density(config: ExperimentConfig, grid: ChebGrid, seed: int):
         else:
             density = gen_tt_random(grid, seed)
         res = normalize_and_certify(density, grid, seed=seed)
-        meta.update(rescales=res.rescales, boundary_ratio=res.boundary_ratio,
-                    ranks=list(res.tensor.ranks))
+        meta.update(boundary_ratio=res.boundary_ratio, ranks=list(res.tensor.ranks))
         info = res.cross_info
         if info is not None:
             meta.update(cross_converged=bool(info.converged), cross_error=info.val_error,

@@ -18,8 +18,30 @@ def test_run_succeeds_and_writes_reports(tmp_path, capsys):
     assert main(["run", *TOY_FLAGS, "--out", out]) == 0
     stdout = capsys.readouterr().out
     assert "suite ok: 2 densities, 0 failed" in stdout
+    assert "cross unconverged" not in stdout
     assert sorted(os.listdir(out)) == ["density_0000.json", "density_0001.json",
                                        "summary.json"]
+
+
+def test_run_names_unconverged_cross_densities(monkeypatch, capsys):
+    # a density whose cross approximation missed its tolerance still
+    # completes; the summary line says how many did
+    from ttflow import densities
+
+    real, calls = densities.cross_approximate, []
+
+    def first_unconverged(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append(res.converged)
+        res.converged = len(calls) > 1
+        return res
+
+    monkeypatch.setattr(densities, "cross_approximate", first_unconverged)
+    assert main(["run", *TOY_FLAGS]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert calls == [True, True]
+    assert line.startswith("suite ok: 2 densities, 0 failed, max eps_rel ")
+    assert line.endswith(", 1 cross unconverged")
 
 
 def test_validation_error_exits_2(capsys):

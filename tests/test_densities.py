@@ -164,29 +164,43 @@ def test_certify_standard_gaussian_no_rescale():
     assert abs(_mass(res.tensor, grid) - 1.0) < 1e-10
 
 
-def test_certify_wide_gaussian_rescales(monkeypatch):
-    # boundary ratio exp(-2) at sigma=4 fails the 1e-12 bar until the extent
-    # has shrunk by 0.8^6
+# the one message of a failed certificate. A sigma = 4 Gaussian on [-8, 8]
+# reads about exp(-2) of its peak node value on the walls (no node sits at
+# the center of an even grid), far above the 1e-12 bar
+_WIDE_FAILS = (r"^density fails the boundary decay certificate "
+               r"\(ratio 1\.35\de-01 > 1\.0e-12\)$")
+
+
+def test_certify_wide_callable_raises_after_one_cross(monkeypatch):
+    # the callable is crossed once, then fails as a TT input does
     grid = ChebGrid.uniform(2, 64, -8.0, 8.0)
+    real, calls = densities.cross_approximate, []
 
-    def wide(x):
-        return np.exp(-(x ** 2).sum(axis=1) / 32.0)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
 
-    res = normalize_and_certify(wide, grid)
-    assert res.rescales == 6
-    assert res.boundary_ratio <= 1e-12
-    assert abs(_mass(res.tensor, grid) - 1.0) < 1e-10
-    monkeypatch.setattr(densities, "_MAX_RESCALES", 0)
-    with pytest.raises(CertificateError):
-        normalize_and_certify(wide, grid)
+    monkeypatch.setattr(densities, "cross_approximate", counted)
+    with pytest.raises(CertificateError, match=_WIDE_FAILS):
+        normalize_and_certify(lambda x: np.exp(-(x ** 2).sum(axis=1) / 32.0), grid)
+    assert len(calls) == 1
 
 
 def test_certify_wide_tt_input_raises():
-    # a TT input has no values beyond the box to shrink from: its walls read
-    # exp(-2) of the peak at sigma=4, and certification fails outright
+    # the same wide Gaussian as a TT fails with the same message
     grid = ChebGrid.uniform(2, 64, -8.0, 8.0)
-    with pytest.raises(CertificateError, match="TT input"):
+    with pytest.raises(CertificateError, match=_WIDE_FAILS):
         normalize_and_certify(diag_gaussian_tt(grid, 0.0, 16.0), grid)
+
+
+@pytest.mark.parametrize("d, n", [(2, 250), (3, 48)])
+def test_certify_quartic_mixture_family(d, n):
+    # the generator's own draws pass the wall test on the default box with
+    # no help: 20 seeds per dimension, at the d2 preset grid and a coarse d3 one
+    grid = ChebGrid.uniform(d, n, -8.0, 8.0)
+    for seed in range(20):
+        res = normalize_and_certify(gen_quartic_mixture(d, seed)[1], grid, seed=seed)
+        assert res.boundary_ratio <= 1e-12, seed
 
 
 def test_certify_mixture_callable():

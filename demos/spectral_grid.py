@@ -5,14 +5,15 @@ geometrically for smooth functions. The differentiation matrix and the
 Clenshaw-Curtis weights inherit that accuracy, which is what lets the
 density solver track 1e-6-level errors with ~100 nodes per axis. The same
 decay, read off the Chebyshev coefficients, tells how many nodes a smooth
-function needs: the flow reads each density snapshot chopped to that size.
+function needs: the flow reads each density snapshot's series cut to that
+length, at that many nodes.
 """
 
 import numpy as np
 
 from ttflow import ChebGrid
-from ttflow.chebyshev import coeff_matrix
-from ttflow.fpe import CHOP_TOL, chop_size
+from ttflow.chebyshev import chop, coeff_matrix
+from ttflow.fpe import CHOP_TOL
 
 grid = ChebGrid.uniform(1, 32, -8.0, 8.0)
 x = grid.nodes(0)
@@ -44,16 +45,15 @@ for n in (8, 16, 32, 64):
 
 # Chebyshev coefficients of the Gaussian on 128 nodes: they decay
 # geometrically until rounding, and the chop keeps the degrees above
-# CHOP_TOL of the largest
+# CHOP_TOL of the largest and reads that series at as many nodes
 fine = ChebGrid.uniform(1, 128, -8.0, 8.0)
 gauss = np.exp(-0.5 * fine.nodes(0) ** 2)
 coef = np.abs(coeff_matrix(128) @ gauss)
 print("\nChebyshev coefficients of exp(-x^2/2) on 128 nodes (relative):")
 for k in range(0, 128, 16):
     print(f"  degree {k:3d}  {coef[k] / coef.max():.1e}")
-kept = chop_size(gauss[:, None])
-print(f"chopped at {CHOP_TOL:.0e}: {kept} of 128 nodes")
-resampled = ChebGrid.uniform(1, kept, -8.0, 8.0)
-err = np.abs(fine.interp_rows(0, targets) @ gauss
-             - resampled.interp_rows(0, targets) @ np.exp(-0.5 * resampled.nodes(0) ** 2))
+chopped = chop(gauss[:, None], CHOP_TOL)[:, 0]
+print(f"chopped at {CHOP_TOL:.0e}: {len(chopped)} of 128 nodes")
+cut = ChebGrid.uniform(1, len(chopped), -8.0, 8.0)
+err = np.abs(fine.interp_rows(0, targets) @ gauss - cut.interp_rows(0, targets) @ chopped)
 print(f"max change of the interpolant on [-7.5, 7.5]: {err.max():.1e}")

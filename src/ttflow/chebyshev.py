@@ -10,7 +10,8 @@ gives the weights, and ``cdf_matrices`` composes the two into the maps a
 sampler needs: node values to both series, and node values to the CDF at
 the nodes. Nodes, differentiation, antiderivative and CDF
 matrices and weights are cached per (n, a, b), the values-to-coefficients
-matrix per n, and all are returned read-only.
+matrix per n, and all are returned read-only. ``chop`` cuts node values to
+their series and reads it at as many CGL nodes as it keeps terms.
 
 Interpolation uses the second barycentric form: the differences pts_i - x_j
 are the rank-2 product [pts, 1] @ [1; -x], rounded once like the subtraction,
@@ -105,11 +106,14 @@ def cheb_rows(x: np.ndarray, m: int, a: float, b: float) -> np.ndarray:
     return np.cos(theta[:, None] * np.arange(m))
 
 
+@functools.lru_cache(maxsize=64)  # one trajectory's chops read ~45 sizes
 def _cheb_at_nodes(n: int, m: int) -> np.ndarray:
-    """T_0..T_{m-1} at the n ascending CGL nodes: node i is
+    """T_0..T_{m-1} at the n ascending CGL nodes, read-only: node i is
     cos(pi (n-1-i) / (n-1)) on [-1, 1], so T_j there is cos(j pi (n-1-i) / (n-1))."""
     i = np.arange(n)
-    return np.cos(np.pi * np.outer(i[::-1], np.arange(m)) / (n - 1))
+    t = np.cos(np.pi * np.outer(i[::-1], np.arange(m)) / (n - 1))
+    t.flags.writeable = False
+    return t
 
 
 @functools.lru_cache(maxsize=16)
@@ -125,6 +129,19 @@ def coeff_matrix(n: int) -> np.ndarray:
     v[[0, -1]] *= 0.5
     v.flags.writeable = False
     return v
+
+
+def chop(values: np.ndarray, tol: float) -> np.ndarray:
+    """Node values (n, c) cut to k >= 2 series terms, 1 + the last degree whose
+    coefficient (largest over the columns) exceeds ``tol`` of the largest, and
+    read at the k CGL nodes; a cut to n - 1 would save one node for a new core,
+    so it keeps all n and, like any uncut input, returns ``values`` itself."""
+    n = values.shape[0]
+    coef = coeff_matrix(n) @ values
+    mags = np.abs(coef).max(axis=1)
+    above = np.flatnonzero(mags > tol * mags.max())
+    k = max(int(above[-1]) + 1 if above.size else 0, 2)
+    return values if k >= n - 1 else _cheb_at_nodes(k, k) @ coef[:k]
 
 
 def _inverse_differences(n: int, a: float, b: float, pts: np.ndarray) -> np.ndarray:

@@ -49,22 +49,14 @@ class QuarticComponent:
             if np.abs(q - q.T).max() > 1e-12 or np.linalg.eigvalsh(q).min() <= 0:
                 raise InvalidShapeError("component matrices must be symmetric positive definite")
 
-    def exponent(self, x: np.ndarray) -> np.ndarray:
-        """q1(x) + q2(x) for points of shape (m, d)."""
-        # one centered block alive at a time keeps the temporaries no larger
-        # than a three-operand einsum's
-        c = x - self.a1
-        q = ((c @ self.q1) * c).sum(axis=1)
-        c = (x - self.a2) ** 2
-        return q + ((c @ self.q2) * c).sum(axis=1)
-
-    def exponent_on_grid(self, nodes, out: np.ndarray) -> np.ndarray:
-        """q1 + q2 on the tensor grid of the per-mode ``nodes`` arrays, summed in
-        place into ``out``; each term Q_kl c_k c_l is a broadcast over two axes."""
-        c1 = np.ix_(*[x - m for x, m in zip(nodes, self.a1)])
-        c2 = np.ix_(*[(x - m) ** 2 for x, m in zip(nodes, self.a2)])
+    def exponent(self, coords, out: np.ndarray) -> np.ndarray:
+        """q1 + q2 at the d per-mode coordinate arrays ``coords``, which
+        broadcast together (a point set's columns, or ``np.ix_`` axes), summed
+        in place into ``out``; each term Q_kl c_k c_l is one broadcast."""
+        c1 = [x - m for x, m in zip(coords, self.a1)]
+        c2 = [(x - m) ** 2 for x, m in zip(coords, self.a2)]
         out.fill(0.0)
-        for k, l in zip(*np.triu_indices(len(nodes))):
+        for k, l in zip(*np.triu_indices(len(coords))):
             f = 1.0 if k == l else 2.0  # Q_lk joins Q_kl off the diagonal
             out += f * (self.q1[k, l] * c1[k] * c1[l] + self.q2[k, l] * c2[k] * c2[l])
         return out
@@ -88,11 +80,11 @@ class MixtureSpec:
 def _component_normalizers(spec: MixtureSpec, box) -> np.ndarray:
     """Per-component integrals over the box by tensor-product quadrature: exp
     in place on one reused _NORM_N^d grid, then one CC-weight GEMV per mode."""
-    nodes, w = [cheb_nodes(_NORM_N, *box)] * spec.d, cc_weights(_NORM_N, *box)
+    axes, w = np.ix_(*[cheb_nodes(_NORM_N, *box)] * spec.d), cc_weights(_NORM_N, *box)
     e = np.empty((_NORM_N,) * spec.d)
     z = []
     for c in spec.components:
-        np.exp(np.negative(c.exponent_on_grid(nodes, e), out=e), out=e)
+        np.exp(np.negative(c.exponent(axes, e), out=e), out=e)
         z.append(functools.reduce(np.matmul, [w] * spec.d, e))
     return np.array(z)
 
@@ -105,9 +97,9 @@ def mixture_callable(spec: MixtureSpec, box=(-8.0, 8.0)) -> Callable:
 
     def density(x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        acc = np.zeros(x.shape[0])
+        acc, e = np.zeros(x.shape[0]), np.empty(x.shape[0])
         for c, zi in zip(spec.components, z):
-            acc += np.exp(-c.exponent(x)) / zi
+            acc += np.exp(-c.exponent(x.T, e)) / zi
         return acc / spec.k
 
     return density

@@ -15,9 +15,9 @@ exact 1 - exp(-2h). The residual error is then purely spatial (spectral
 interpolation and rounding), not O(h^2).
 
 Snapshots stay on the full grid. The score of a snapshot is evaluated on a
-coarser copy: each mode is chopped to the Chebyshev degree its data needs
-(the last coefficient above ``CHOP_TOL`` of the largest) and resampled at
-that many CGL nodes. The diffusion smooths every snapshot after the first
+coarser copy: each mode's Chebyshev series is cut after the last coefficient
+above ``CHOP_TOL`` of the largest and read at that many CGL nodes
+(``chebyshev.chop``). The diffusion smooths every snapshot after the first
 few, so the flow's score evaluations contract far fewer nodes per mode.
 """
 
@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .chebyshev import (ChebGrid, cheb_nodes, coeff_matrix, diff_matrix,
-                        interp_matrix, interp_value_and_grad, value_grad_cores)
+from .chebyshev import (ChebGrid, cheb_nodes, chop, diff_matrix, interp_matrix,
+                        interp_value_and_grad, value_grad_cores)
 from .errors import ConfigError, InvalidShapeError, NumericalDomainError
 from .tt import (TTTensor, tt_add, tt_extrema, tt_integrate, tt_mode_apply,
                  tt_round, tt_scale, tt_weighted_inner)
@@ -77,38 +77,14 @@ def _step_matrix(n: int, a: float, b: float, h: float) -> np.ndarray:
     return step
 
 
-def chop_size(values: np.ndarray) -> int:
-    """CGL nodes that resolve the columns of ``values`` (n, c) on n CGL nodes.
-
-    That is 1 + the last degree whose largest Chebyshev coefficient over the
-    columns exceeds ``CHOP_TOL`` times the largest coefficient, and at least
-    2; n - 1 becomes n, as one node saved is not worth a resampled core.
-    """
-    n = values.shape[0]
-    mags = np.abs(coeff_matrix(n) @ values).max(axis=1)
-    above = np.flatnonzero(mags > CHOP_TOL * mags.max())
-    kept = max(int(above[-1]) + 1 if above.size else 0, 2)
-    return n if kept == n - 1 else kept
-
-
-@functools.lru_cache(maxsize=8)
-def _resample_rows(n: int, n_new: int, a: float, b: float) -> np.ndarray:
-    """Interpolation rows from the n CGL nodes of [a, b] to its n_new CGL
-    nodes, read-only. Late snapshots repeat a few sizes, one per mode; the
-    early ones each differ, and a larger cache only holds more memory."""
-    rows = interp_matrix(n, a, b, cheb_nodes(n_new, a, b))
-    rows.flags.writeable = False
-    return rows
-
-
 @dataclass
 class DensityTrajectory:
     """Normalized density snapshots p_m at times m h, m = 0..M.
 
     ``floor`` is ``SCORE_FLOOR`` times the peak of snapshots[0], found once:
     every snapshot's score divides by at least that value. ``score_at`` reads
-    snapshot m through a copy chopped per mode to ``chop_size`` nodes;
-    ``score_nodes[m]`` holds those per-mode node counts once it is built.
+    snapshot m through a copy with every mode cut by ``chop`` at ``CHOP_TOL``;
+    ``score_nodes[m]`` holds that copy's per-mode node counts once it is built.
     """
 
     grid: ChebGrid
@@ -150,16 +126,16 @@ class DensityTrajectory:
         return grads / np.maximum(vals, self.floor)[:, None]
 
     def _chopped(self, m: int):
-        """Snapshot m with each mode resampled at its ``chop_size`` nodes, the
-        grid of those nodes and its ``value_grad_cores``."""
-        p, (a, b) = self.snapshots[m], self.box
-        ns = []
-        for k, core in enumerate(self.snapshots[m].cores):
+        """Snapshot m with each mode cut by ``chop``, the grid of the kept
+        nodes and its ``value_grad_cores``; an uncut mode keeps its core."""
+        cores = []
+        for core in self.snapshots[m].cores:
             r, n, s = core.shape
-            ns.append(chop_size(core.transpose(1, 0, 2).reshape(n, r * s)))
-            if ns[k] < n:
-                p = tt_mode_apply(p, _resample_rows(n, ns[k], a, b), k)
-        grid = ChebGrid(tuple(ns), a, b)
+            g = core.transpose(1, 0, 2).reshape(n, r * s)
+            cut = chop(g, CHOP_TOL)
+            cores.append(core if cut is g else cut.reshape(-1, r, s).transpose(1, 0, 2))
+        p = TTTensor(cores, copy=False)
+        grid = ChebGrid(p.mode_sizes, *self.box)
         self.score_nodes[m] = grid.ns
         return p, grid, value_grad_cores(p, grid)
 

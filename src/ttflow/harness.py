@@ -86,8 +86,9 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, low in _INT_MIN.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # asdict stays JSON-ready
             if value < low:
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
         if self.m_steps % 2:

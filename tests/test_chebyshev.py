@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ttflow.chebyshev import (ChebGrid, antideriv_matrix, barycentric_weights,
-                              cc_weights, cdf_matrices, cheb_nodes, cheb_rows,
-                              coeff_matrix, diff_matrix, interp_matrix,
-                              interp_value_and_grad, value_grad_cores)
+from ttflow.chebyshev import (ChebGrid, _cheb_at_nodes, antideriv_matrix,
+                              barycentric_weights, cc_weights, cdf_matrices,
+                              cheb_nodes, cheb_rows, chop, coeff_matrix, diff_matrix,
+                              interp_matrix, interp_value_and_grad, value_grad_cores)
 from ttflow.errors import DomainBoundsError, InvalidShapeError
 from ttflow.fpe import DensityTrajectory, fpe_solve
 from ttflow.tt import tt_from_dense, tt_integrate, tt_scale
@@ -108,6 +108,49 @@ def test_cdf_matrices_match_the_series_on_polynomials():
             rows, coef = cheb_rows(pts, n + 1, a, b), p(x) @ series
             assert np.abs(rows[:, :n] @ coef[:n] - p(pts)).max() <= 1e-12 * scale
             assert np.abs(rows @ coef[n:] - big_f(pts)).max() <= 1e-12 * scale
+
+
+def _cheb_poly(rng, deg, a, b):
+    return np.polynomial.Chebyshev(rng.standard_normal(deg + 1), domain=[a, b])
+
+
+def test_chop_reads_the_cut_series_at_its_own_nodes():
+    # a degree-9 polynomial on 40 nodes needs 10; a constant still keeps 2
+    rng = np.random.default_rng(13)
+    for a, b in ((-8.0, 8.0), (-3.0, 5.0)):
+        p = _cheb_poly(rng, 9, a, b)
+        got = chop(p(cheb_nodes(40, a, b))[:, None], 1e-12)
+        want = p(cheb_nodes(10, a, b))
+        assert got.shape == (10, 1)
+        assert np.abs(got[:, 0] - want).max() <= 1e-13 * np.abs(want).max()
+    assert chop(np.full((40, 1), 3.0), 1e-12).shape == (2, 1)
+
+
+def test_chop_cuts_columns_to_the_longer_series():
+    rng = np.random.default_rng(14)
+    p, q = _cheb_poly(rng, 5, -8.0, 8.0), _cheb_poly(rng, 12, -8.0, 8.0)
+    x = cheb_nodes(40, -8.0, 8.0)
+    got = chop(np.column_stack([p(x), q(x)]), 1e-12)
+    y = cheb_nodes(13, -8.0, 8.0)
+    want = np.column_stack([p(y), q(y)])
+    assert got.shape == (13, 2)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_chop_that_would_save_one_node_returns_the_input():
+    rng = np.random.default_rng(15)
+    x = cheb_nodes(40, -8.0, 8.0)
+    for deg in (38, 39):  # kept lengths n - 1 and n
+        values = _cheb_poly(rng, deg, -8.0, 8.0)(x)[:, None]
+        assert chop(values, 1e-12) is values
+
+
+def test_node_table_is_cached_and_read_only():
+    # chop reads the cut series through this table, so a write would corrupt it
+    t = _cheb_at_nodes(10, 10)
+    assert _cheb_at_nodes(10, 10) is t and not t.flags.writeable
+    with pytest.raises(ValueError):
+        t[0, 0] = 1.0
 
 
 def test_interp_matrix_identity_at_nodes():

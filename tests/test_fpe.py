@@ -10,7 +10,7 @@ from ttflow.densities import (diag_gaussian_tt, gen_quartic_mixture, gen_tt_rand
 from ttflow.errors import ConfigError, InvalidShapeError
 from ttflow.flow import flow_integrate, sample_tt
 from ttflow.fpe import (CHOP_TOL, SCORE_FLOOR, DensityTrajectory, _dilation_rows,
-                        _heat_propagator, _resample_rows, _step_matrix,
+                        _heat_propagator, _step_matrix,
                         density_moments, fpe_solve, rel_l2_distance)
 from ttflow.tt import tt_extrema, tt_from_dense, tt_integrate, tt_mode_apply, tt_scale
 
@@ -381,14 +381,6 @@ def test_undecayed_snapshot_keeps_the_full_grid():
         got = traj.score_at(m, x)
         assert traj.score_nodes[m] == grid.ns
         assert np.array_equal(got, _full_grid_score(traj, m, x)), m
-
-
-def test_resample_rows_are_cached_and_read_only():
-    rows = _resample_rows(160, 70, -8.0, 8.0)
-    assert _resample_rows(160, 70, -8.0, 8.0) is rows
-    assert not rows.flags.writeable
-    assert np.array_equal(rows, interp_matrix(160, -8.0, 8.0,
-                                              ChebGrid((70,), -8.0, 8.0).nodes(0)))
 
 
 def test_solver_validation():

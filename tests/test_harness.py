@@ -60,6 +60,18 @@ def test_config_validation():
     assert type(ExperimentConfig(**dict(TOY, t_max=2)).t_max) is float
 
 
+def test_integer_fields_take_numpy_integers_as_ints():
+    # stored as Python ints, so asdict(config) still dumps to JSON
+    cfg = ExperimentConfig(**dict(TOY, d=np.int64(2), n_grid=np.int32(32),
+                                  seed=np.uint8(5), workers=np.int16(1)))
+    assert cfg == ExperimentConfig(**TOY)
+    assert all(type(getattr(cfg, f)) is int for f in ("d", "n_grid", "seed", "workers"))
+    json.dumps(asdict(cfg))
+    for bad in (np.bool_(True), np.float64(2.0)):
+        with pytest.raises(ConfigError, match="^d must be an integer"):
+            ExperimentConfig(**dict(TOY, d=bad))
+
+
 def test_every_numeric_field_rejects_bools_strings_and_nan():
     # built from the dataclass, so a new numeric field without a rule fails;
     # a sequence field gets the bad value next to a good one

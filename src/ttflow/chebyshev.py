@@ -106,7 +106,7 @@ def cheb_rows(x: np.ndarray, m: int, a: float, b: float) -> np.ndarray:
     return np.cos(theta[:, None] * np.arange(m))
 
 
-@functools.lru_cache(maxsize=64)  # one trajectory's chops read ~45 sizes
+@functools.lru_cache(maxsize=64)  # a d2/250 trajectory's chops read 38-45 sizes
 def _cheb_at_nodes(n: int, m: int) -> np.ndarray:
     """T_0..T_{m-1} at the n ascending CGL nodes, read-only: node i is
     cos(pi (n-1-i) / (n-1)) on [-1, 1], so T_j there is cos(j pi (n-1-i) / (n-1))."""

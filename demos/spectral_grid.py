@@ -5,15 +5,14 @@ geometrically for smooth functions. The differentiation matrix and the
 Clenshaw-Curtis weights inherit that accuracy, which is what lets the
 density solver track 1e-6-level errors with ~100 nodes per axis. The same
 decay, read off the Chebyshev coefficients, tells how many nodes a smooth
-function needs: the flow reads each density snapshot's series cut to that
-length, at that many nodes.
+function needs: the TT evaluator, and with it the flow's score, reads each
+mode's series cut to that length, at that many nodes.
 """
 
 import numpy as np
 
 from ttflow import ChebGrid
-from ttflow.chebyshev import chop, coeff_matrix
-from ttflow.fpe import CHOP_TOL
+from ttflow.chebyshev import CHOP_TOL, chop, coeff_matrix
 
 grid = ChebGrid.uniform(1, 32, -8.0, 8.0)
 x = grid.nodes(0)

@@ -11,7 +11,8 @@ sampler needs: node values to both series, and node values to the CDF at
 the nodes. Nodes, differentiation, antiderivative and CDF
 matrices and weights are cached per (n, a, b), the values-to-coefficients
 matrix per n, and all are returned read-only. ``chop`` cuts node values to
-their series and reads it at as many CGL nodes as it keeps terms.
+their series and reads it at as many CGL nodes as it keeps terms; the TT
+evaluator reads every mode through that cut, at ``CHOP_TOL``.
 
 Interpolation uses the second barycentric form: the differences pts_i - x_j
 are the rank-2 product [pts, 1] @ [1; -x], rounded once like the subtraction,
@@ -26,6 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainBoundsError, InvalidShapeError
+
+CHOP_TOL = 1e-12  # evaluation drops Chebyshev coefficients below this share of the largest
 
 
 @functools.lru_cache(maxsize=64)
@@ -51,7 +54,7 @@ def barycentric_weights(n: int) -> np.ndarray:
     return w
 
 
-@functools.lru_cache(maxsize=16)  # chopped score grids bring many sizes
+@functools.lru_cache(maxsize=16)  # cut series bring many sizes
 def diff_matrix(n: int, a: float, b: float) -> np.ndarray:
     """First-derivative collocation matrix on the CGL nodes of [a, b]."""
     x = cheb_nodes(n, a, b)
@@ -227,24 +230,28 @@ class ChebGrid:
 
 
 def value_grad_cores(tt, grid: ChebGrid) -> list:
-    """Per mode, [w G_k | w D1 G_k | w]: the core unfolded to n x (r s), its
-    derivative and ones, row j times the barycentric weight w_j."""
+    """Per mode, [w G | w D1 G | w]: G the core unfolded to n x (r s) and cut
+    by ``chop`` at ``CHOP_TOL`` to its k kept nodes, its derivative and ones,
+    row j times the barycentric weight w_j of the k nodes."""
     out = []
-    for k, core in enumerate(tt.cores):
-        gk = core.transpose(1, 0, 2).reshape(core.shape[1], -1)
-        both = np.concatenate([gk, grid.diff1(k) @ gk, np.ones((len(gk), 1))], axis=1)
-        out.append(both * barycentric_weights(len(gk))[:, None])
+    for core in tt.cores:
+        r, n, s = core.shape
+        g = chop(core.transpose(1, 0, 2).reshape(n, r * s), CHOP_TOL)
+        k = len(g)
+        both = np.concatenate([g, diff_matrix(k, grid.a, grid.b) @ g, np.ones((k, 1))], axis=1)
+        out.append(both * barycentric_weights(k)[:, None])
     return out
 
 
 def interp_value_and_grad(tt, grid: ChebGrid, x: np.ndarray, _cores=None):
     """Interpolant values and gradients at ``x`` (m, d): returns (m,), (m, d).
 
-    Mode k contributes the factor W_k G_k per point, with W_k the
-    interpolation rows at x[:, k] and G_k the core unfolded to n x (r s), and
-    the derivative factor W_k (D1 G_k). One product of the inverse differences
-    C_k with ``value_grad_cores``' [w G_k | w D1 G_k | w] gives both and, in its
-    last column, the row sums that normalize them, so W_k is never formed.
+    Each mode reads its series cut at ``CHOP_TOL`` (``value_grad_cores``): the
+    factor W_k G_k per point, with W_k the interpolation rows of the k kept
+    nodes at x[:, k] and G_k the cut core unfolded to k x (r s), and the
+    derivative factor W_k (D1 G_k). One product of the inverse differences
+    C_k with [w G_k | w D1 G_k | w] gives both and, in its last column, the
+    row sums that normalize them, so W_k is never formed.
     ``_cores`` takes ``value_grad_cores(tt, grid)`` from a caller that evaluates
     the same tensor many times. Prefix/suffix chain products are shared across
     modes. Points outside the box raise ``DomainBoundsError``.
@@ -256,9 +263,9 @@ def interp_value_and_grad(tt, grid: ChebGrid, x: np.ndarray, _cores=None):
         _cores = value_grad_cores(tt, grid)
     m, d = x.shape
     factors, dfactors = [], []
-    for k, core in enumerate(tt.cores):
-        r, n, s = core.shape
-        both = _inverse_differences(n, grid.a, grid.b, x[:, k]) @ _cores[k]
+    for k, (core, vg) in enumerate(zip(tt.cores, _cores)):
+        r, _, s = core.shape
+        both = _inverse_differences(len(vg), grid.a, grid.b, x[:, k]) @ vg
         both /= both[:, -1:]
         factors.append(both[:, :r * s].reshape(m, r, s))
         dfactors.append(both[:, r * s:-1].reshape(m, r, s))

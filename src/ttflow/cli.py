@@ -15,8 +15,8 @@ import sys
 from dataclasses import fields
 
 from .errors import ConfigError
-from .harness import (FAMILIES, PRESETS, ExperimentConfig, _read_json, aggregate_table,
-                      config_from_dict, dump_trajectories, run_suite)
+from .harness import (FAMILIES, PRESETS, ExperimentConfig, _fmt, _read_json,
+                      aggregate_table, config_from_dict, dump_trajectories, run_suite)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -65,7 +65,9 @@ def _cmd_run(args) -> int:
 def _cmd_trajectories(args) -> int:
     payload = dump_trajectories(_build_config(args), args.csv, out_json=args.report)
     print(f"wrote {len(payload['ids'])} paths to {args.csv}")
-    print(f"max straightness deviation: {max(payload['straightness']):.3e}")
+    ok = [v for v in payload["straightness"] if v is not None]
+    print(f"max straightness deviation: {_fmt(max(ok, default=None), '.3e')} over "
+          f"{len(ok)} finite paths, {len(payload['ids']) - len(ok)} failed")
     return 0
 
 

@@ -14,10 +14,10 @@ tau (1 + exp(-2h)) = (1 - exp(-2h))/2 pins the total added variance to the
 exact 1 - exp(-2h). The residual error is then purely spatial (spectral
 interpolation and rounding), not O(h^2).
 
-Snapshots stay on the full grid. The score of a snapshot is evaluated on a
-coarser copy: each mode's Chebyshev series is cut after the last coefficient
-above ``CHOP_TOL`` of the largest and read at that many CGL nodes
-(``chebyshev.chop``). The diffusion smooths every snapshot after the first
+Snapshots stay on the full grid. The score of a snapshot reads it through
+``chebyshev.value_grad_cores``, which cuts each mode's Chebyshev series after
+the last coefficient above ``chebyshev.CHOP_TOL`` of the largest and reads it
+at that many CGL nodes. The diffusion smooths every snapshot after the first
 few, so the flow's score evaluations contract far fewer nodes per mode.
 """
 
@@ -29,14 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .chebyshev import (ChebGrid, cheb_nodes, chop, diff_matrix, interp_matrix,
+from .chebyshev import (ChebGrid, cheb_nodes, diff_matrix, interp_matrix,
                         interp_value_and_grad, value_grad_cores)
 from .errors import ConfigError, InvalidShapeError, NumericalDomainError
 from .tt import (TTTensor, tt_add, tt_extrema, tt_integrate, tt_mode_apply,
                  tt_round, tt_scale, tt_weighted_inner)
 
 ROUND_TOL = 1e-10  # relative Frobenius tolerance of the per-step rounding
-CHOP_TOL = 1e-12  # scores drop Chebyshev coefficients below this share of the largest
 SCORE_FLOOR = 1e-12  # scores divide by at least this fraction of p0's peak
 
 
@@ -83,8 +82,8 @@ class DensityTrajectory:
 
     ``floor`` is ``SCORE_FLOOR`` times the peak of snapshots[0], found once:
     every snapshot's score divides by at least that value. ``score_at`` reads
-    snapshot m through a copy with every mode cut by ``chop`` at ``CHOP_TOL``;
-    ``score_nodes[m]`` holds that copy's per-mode node counts once it is built.
+    snapshot m through its ``value_grad_cores``, cut at ``chebyshev.CHOP_TOL``;
+    ``score_nodes[m]`` holds their per-mode node counts once they are built.
     """
 
     grid: ChebGrid
@@ -119,25 +118,12 @@ class DensityTrajectory:
         # the flow reads snapshots 2j, 2j+1, 2j+1, 2j+2 and the next step
         # starts at 2j+2, so one cached snapshot builds each one once
         if self._cached[0] != m:
-            self._cached = (m, *self._chopped(m))
-        _, p, grid, cores = self._cached
-        vals, grads = interp_value_and_grad(p, grid, x, _cores=cores)
+            self._cached = (m, value_grad_cores(self.snapshots[m], self.grid))
+            self.score_nodes[m] = tuple(len(c) for c in self._cached[1])
+        vals, grads = interp_value_and_grad(self.snapshots[m], self.grid, x,
+                                            _cores=self._cached[1])
         self.floor_hits += int((vals < self.floor).sum())
         return grads / np.maximum(vals, self.floor)[:, None]
-
-    def _chopped(self, m: int):
-        """Snapshot m with each mode cut by ``chop``, the grid of the kept
-        nodes and its ``value_grad_cores``; an uncut mode keeps its core."""
-        cores = []
-        for core in self.snapshots[m].cores:
-            r, n, s = core.shape
-            g = core.transpose(1, 0, 2).reshape(n, r * s)
-            cut = chop(g, CHOP_TOL)
-            cores.append(core if cut is g else cut.reshape(-1, r, s).transpose(1, 0, 2))
-        p = TTTensor(cores, copy=False)
-        grid = ChebGrid(p.mode_sizes, *self.box)
-        self.score_nodes[m] = grid.ns
-        return p, grid, value_grad_cores(p, grid)
 
 
 def fpe_solve(p0: TTTensor, grid: ChebGrid, m_steps: int,

@@ -411,7 +411,7 @@ def dump_trajectories(config: ExperimentConfig, out_csv, out_json=None) -> dict:
     """Run one density with ``config.n_samples`` samples and write every path as CSV.
 
     Paths are labelled by sample row, 0..n_samples-1. Returns the straightness
-    diagnostics (also written to ``out_json``).
+    diagnostics (also written to ``out_json``), None for a failed path.
     """
     run = _pipeline(config, 0)
     paths_to_csv(run.flow.states, run.flow.times, out_csv)
@@ -419,7 +419,7 @@ def dump_trajectories(config: ExperimentConfig, out_csv, out_json=None) -> dict:
     payload = {
         "density": run.meta,
         "ids": list(range(config.n_samples)),
-        "straightness": [float(v) for v in diag],
+        "straightness": [float(v) if np.isfinite(v) else None for v in diag],
         "flow": _flow_report(run),
     }
     if out_json:

@@ -139,26 +139,20 @@ def tt_scale(t: TTTensor, alpha: float) -> TTTensor:
 
 
 def tt_add(a: TTTensor, b: TTTensor) -> TTTensor:
-    """Exact sum; ranks add blockwise."""
+    """Exact sum; ranks add blockwise. Every core is block-diagonal, then the
+    first sums its two left rows and the last its two right columns."""
     if a.mode_sizes != b.mode_sizes:
         raise InvalidShapeError(f"mode sizes differ: {a.mode_sizes} vs {b.mode_sizes}")
-    d = a.d
-    if d == 1:
-        return TTTensor([a.cores[0] + b.cores[0]], copy=False)
     cores = []
-    for k in range(d):
-        ca, cb = a.cores[k], b.cores[k]
+    for ca, cb in zip(a.cores, b.cores):
         ra, n, sa = ca.shape
         rb, _, sb = cb.shape
-        if k == 0:
-            cores.append(np.concatenate([ca, cb], axis=2))
-        elif k == d - 1:
-            cores.append(np.concatenate([ca, cb], axis=0))
-        else:
-            c = np.zeros((ra + rb, n, sa + sb))
-            c[:ra, :, :sa] = ca
-            c[ra:, :, sa:] = cb
-            cores.append(c)
+        c = np.zeros((ra + rb, n, sa + sb))
+        c[:ra, :, :sa] = ca
+        c[ra:, :, sa:] = cb
+        cores.append(c)
+    cores[0] = cores[0].sum(axis=0, keepdims=True)
+    cores[-1] = cores[-1].sum(axis=2, keepdims=True)
     return TTTensor(cores, copy=False)
 
 

@@ -7,7 +7,7 @@ from ttflow.chebyshev import (ChebGrid, _cheb_at_nodes, antideriv_matrix,
                               interp_matrix, interp_value_and_grad, value_grad_cores)
 from ttflow.errors import DomainBoundsError, InvalidShapeError
 from ttflow.fpe import DensityTrajectory, fpe_solve
-from ttflow.tt import tt_from_dense, tt_integrate, tt_scale
+from ttflow.tt import TTTensor, tt_from_dense, tt_integrate, tt_scale
 
 
 def test_nodes_ascending_and_endpoints():
@@ -273,9 +273,9 @@ def test_score_cache_matches_fresh_evaluation():
         assert np.array_equal(got, fresh.score_at(m, x)), m
         vals, grads = interp_value_and_grad(traj.snapshots[m], grid, x)
         assert np.array_equal(got, grads / vals[:, None]), m
-        held, chopped, chopped_grid, cores = traj._cached
-        assert held == m and chopped_grid.ns == traj.score_nodes[m] == (24, 24)
-        for c, ref in zip(cores, value_grad_cores(chopped, chopped_grid)):
+        held, cores = traj._cached
+        assert held == m and traj.score_nodes[m] == (24, 24)
+        for c, ref in zip(cores, value_grad_cores(traj.snapshots[m], grid)):
             assert np.array_equal(c, ref), m
     assert traj.floor_hits == 0
 
@@ -335,6 +335,36 @@ def test_interp_grad_exact_on_rank_3_polynomial():
     assert np.abs(vals - f(x, y, z)).max() <= 1e-10
     exact = np.column_stack([y**2 + 2 * x * z, 2 * x * y + z**3, 3 * y * z**2 + x**2])
     assert np.abs(grads - exact).max() <= 1e-10
+
+
+def test_degree_9_polynomial_reads_10_nodes_per_mode():
+    # every core entry is a degree-9 polynomial, so the evaluator cuts each
+    # mode's 40 nodes to the 10 its series needs and still reads the
+    # polynomial and its gradient
+    grid = ChebGrid.uniform(3, 40, -2.0, 2.0)
+    rng = np.random.default_rng(41)
+    ranks = (1, 2, 3, 1)
+    polys = [[[np.polynomial.Polynomial(rng.standard_normal(10)) for _ in range(ranks[k + 1])]
+              for _ in range(ranks[k])] for k in range(3)]
+
+    def entries(k, pts, deriv=0):  # (r, len(pts), s), laid out like a core
+        rows = [[p.deriv(deriv)(pts) for p in row] for row in polys[k]]
+        return np.array(rows).transpose(0, 2, 1)
+
+    t = TTTensor([entries(k, grid.nodes(k)) for k in range(3)])
+    assert [len(c) for c in value_grad_cores(t, grid)] == [10, 10, 10]
+    x = rng.uniform(-2.0, 2.0, size=(60, 3))
+
+    def chain(derived):
+        out = np.ones((len(x), 1))
+        for k in range(3):
+            out = np.einsum("pr,rps->ps", out, entries(k, x[:, k], int(k == derived)))
+        return out[:, 0]
+
+    vals, grads = interp_value_and_grad(t, grid, x)
+    exact, exact_grads = chain(None), np.column_stack([chain(k) for k in range(3)])
+    assert np.abs(vals - exact).max() <= 1e-12 * np.abs(exact).max()
+    assert np.abs(grads - exact_grads).max() <= 1e-12 * np.abs(exact_grads).max()
 
 
 def test_interp_eval_rejects_outside_points():

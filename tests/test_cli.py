@@ -1,10 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from ttflow.cli import main
 from ttflow.errors import NumericalDomainError
+from ttflow.flow import PointCloud
 from ttflow.harness import ExperimentConfig, gaussian_check
 
 # the config flags that run and trajectories both take, and run's suite size
@@ -188,6 +190,33 @@ def test_trajectories_command(tmp_path, capsys):
             main(["trajectories", *TOY_CONFIG, *flag, "--csv", csv_path])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_trajectories_report_a_failed_path_apart(tmp_path, monkeypatch, capsys):
+    # a failed path is NaN from its failing state on; the maximum covers the
+    # finite paths only, the line counts the failed one, and the JSON report
+    # holds null for it, not the non-standard token NaN
+    from ttflow import harness
+
+    real = harness.flow_integrate
+
+    def first_path_fails(provider, x0):
+        res = real(provider, x0)
+        states, x1 = res.states.copy(), res.x1.points.copy()
+        states[1:, 0] = x1[0] = np.nan
+        return res._replace(x1=PointCloud(points=x1), states=states, failed_ids=[0])
+
+    monkeypatch.setattr(harness, "flow_integrate", first_path_fails)
+    csv_path, json_path = str(tmp_path / "paths.csv"), tmp_path / "paths.json"
+    assert main(["trajectories", *TOY_CONFIG, "--samples", "3", "--csv", csv_path,
+                 "--report", str(json_path)]) == 0
+    text = json_path.read_text()
+    assert "NaN" not in text
+    straightness = json.loads(text)["straightness"]
+    assert straightness[0] is None and all(np.isfinite(straightness[1:]))
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line == (f"max straightness deviation: {max(straightness[1:]):.3e} "
+                    f"over 2 finite paths, 1 failed")
 
 
 def test_table_command(tmp_path, capsys):

@@ -323,13 +323,13 @@ def test_flow_builds_each_snapshot_once(monkeypatch):
     p0 = _norm_tt(grid, [0.5, 0.0], [1.5, 0.8])
     traj = fpe_solve(p0, grid, m_steps=10, t_max=2.0)
     built = []
-    real = fpe.DensityTrajectory._chopped
+    real = fpe.value_grad_cores
 
-    def counting(self, m):
-        built.append(m)
-        return real(self, m)
+    def counting(tt, grid):
+        built.append(next(m for m, p in enumerate(traj.snapshots) if p is tt))
+        return real(tt, grid)
 
-    monkeypatch.setattr(fpe.DensityTrajectory, "_chopped", counting)
+    monkeypatch.setattr(fpe, "value_grad_cores", counting)
     flow_integrate(traj, sample_tt(p0, grid, 20, seed=2))
     assert built == list(range(11))
 

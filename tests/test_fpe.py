@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 from scipy.fft import dct
+from test_chebyshev import _explicit_value_and_grad
 
 from ttflow import fpe
-from ttflow.chebyshev import ChebGrid, interp_matrix, interp_value_and_grad
+from ttflow.chebyshev import CHOP_TOL, ChebGrid, interp_matrix, interp_value_and_grad
 from ttflow.cross import cross_approximate
 from ttflow.densities import (diag_gaussian_tt, gen_quartic_mixture, gen_tt_random,
                               normalize_and_certify)
 from ttflow.errors import ConfigError, InvalidShapeError
 from ttflow.flow import flow_integrate, sample_tt
-from ttflow.fpe import (CHOP_TOL, SCORE_FLOOR, DensityTrajectory, _dilation_rows,
+from ttflow.fpe import (SCORE_FLOOR, DensityTrajectory, _dilation_rows,
                         _heat_propagator, _step_matrix,
                         density_moments, fpe_solve, rel_l2_distance)
 from ttflow.tt import tt_extrema, tt_from_dense, tt_integrate, tt_mode_apply, tt_scale
@@ -298,9 +299,8 @@ def test_score_floor_counts_hits():
     # one node, so the score reads the full 32 x 32 snapshot
     out_big = traj.score_at(1, pts)
     assert traj.floor_hits == 4
-    _, chopped, chopped_grid, _ = traj._cached
-    assert chopped_grid.ns == (32, 32)
-    vals, grads = interp_value_and_grad(chopped, chopped_grid, pts)
+    assert traj._cached[0] == 1 and traj.score_nodes[1] == (32, 32)
+    vals, grads = interp_value_and_grad(big, grid, pts)
     assert np.all(vals == 0.0) and np.abs(grads[:, 0]).min() > 0
     np.testing.assert_allclose(out_big, grads / traj.floor, rtol=1e-14)
     np.testing.assert_allclose(out_big, 4.0 * out, rtol=1e-14)
@@ -334,7 +334,8 @@ def mixture_flow():
 
 
 def _full_grid_score(traj, m, x):
-    vals, grads = interp_value_and_grad(traj.snapshots[m], traj.grid, x)
+    # explicit uncut rows: the full grid's interpolation rows W_k and W_k D1
+    vals, grads = _explicit_value_and_grad(traj.snapshots[m], traj.grid, x)
     return grads / np.maximum(vals, traj.floor)[:, None]
 
 
@@ -373,14 +374,15 @@ def test_chop_keeps_the_last_coefficient_above_tolerance(mixture_flow):
 
 def test_undecayed_snapshot_keeps_the_full_grid():
     # a tt-random density on 12 nodes is nowhere near resolved, so no mode is
-    # chopped and the score is the full-grid interpolant's, bit for bit
+    # chopped and the score is the full-grid interpolant's, to roundoff
     grid = ChebGrid.uniform(3, 12, -8.0, 8.0)
     traj = fpe_solve(gen_tt_random(grid, 5), grid, m_steps=4, t_max=1.0)
     x = np.random.default_rng(2).uniform(-3.0, 3.0, size=(20, 3))
     for m in range(traj.n_steps + 1):
         got = traj.score_at(m, x)
         assert traj.score_nodes[m] == grid.ns
-        assert np.array_equal(got, _full_grid_score(traj, m, x)), m
+        full = _full_grid_score(traj, m, x)
+        assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max(), m
 
 
 def test_solver_validation():

@@ -63,8 +63,8 @@ def test_round_recovers_low_rank():
 
 def test_algebra_matches_dense():
     rng = np.random.default_rng(5)
-    for _ in range(30):
-        d = int(rng.integers(2, 4))
+    for i in range(31):
+        d = int(rng.integers(2, 4)) if i < 30 else 1  # d = 1: one core is first and last
         a = _random_dense(rng, d)
         b = rng.standard_normal(a.shape)
         ta, tb = tt_from_dense(a), tt_from_dense(b)

@@ -1,22 +1,21 @@
 """Chebyshev collocation grids: nodes, differentiation, quadrature, interpolation.
 
 Nodes are Chebyshev-Gauss-Lobatto points mapped affinely to [a, b] and stored
-in ascending order. Differentiation matrices use the barycentric form with the
-negative-sum trick for the diagonal. Quadrature weights are Clenshaw-Curtis,
-exact for polynomials of degree <= n-1. The antiderivative matrix takes the
-interpolant's Chebyshev coefficients (the values-to-coefficients matrix) to
-the series of the integral from a, the interpolant's exact CDF; read at b it
-gives the weights, and ``cdf_matrices`` composes the two into the maps a
-sampler needs: node values to both series, and node values to the CDF at
-the nodes. Nodes, differentiation, antiderivative and CDF
-matrices and weights are cached per (n, a, b), the values-to-coefficients
-matrix per n, and all are returned read-only. ``chop`` cuts node values to
-their series and reads it at as many CGL nodes as it keeps terms; the TT
-evaluator reads every mode through that cut, at ``CHOP_TOL``.
+in ascending order. One calculus of four series maps builds every node-space
+operator: node values to Chebyshev coefficients (``coeff_matrix``, a DCT-I),
+coefficients to values at the nodes (a table of T_j there), and coefficients
+to those of the derivative (``deriv_matrix``) and of the antiderivative from a
+(``antideriv_matrix``). Their products give the differentiation matrix, the
+Clenshaw-Curtis weights (the antiderivative at b, exact for degree <= n-1) and
+the sampler's ``cdf_matrices``; all are cached and returned read-only.
+``chop`` cuts node values to the leading coefficients of their series; the TT
+evaluator cuts every mode at ``CHOP_TOL`` and differentiates each cut in the
+series, through the leading block of one derivative map per grid.
 
-Interpolation uses the second barycentric form: the differences pts_i - x_j
-are the rank-2 product [pts, 1] @ [1; -x], rounded once like the subtraction,
-and the weights (+-1, +-1/2) fold exactly into the matrix that follows.
+Barycentric forms serve only evaluation at points: the second form, with the
+differences pts_i - x_j the rank-2 product [pts, 1] @ [1; -x], rounded once
+like the subtraction, and the weights (+-1, +-1/2) folded exactly into the
+matrix that follows.
 """
 
 from __future__ import annotations
@@ -54,16 +53,11 @@ def barycentric_weights(n: int) -> np.ndarray:
     return w
 
 
-@functools.lru_cache(maxsize=16)  # cut series bring many sizes
+@functools.lru_cache(maxsize=16)
 def diff_matrix(n: int, a: float, b: float) -> np.ndarray:
-    """First-derivative collocation matrix on the CGL nodes of [a, b]."""
-    x = cheb_nodes(n, a, b)
-    w = barycentric_weights(n)
-    dx = x[:, None] - x[None, :]
-    np.fill_diagonal(dx, 1.0)
-    d = (w[None, :] / w[:, None]) / dx
-    np.fill_diagonal(d, 0.0)
-    np.fill_diagonal(d, -d.sum(axis=1))
+    """First-derivative collocation matrix on the CGL nodes of [a, b]: node
+    values to the series, its derivative, and back to the nodes."""
+    d = _cheb_at_nodes(n, n) @ deriv_matrix(n, a, b) @ coeff_matrix(n)
     d.flags.writeable = False
     return d
 
@@ -85,6 +79,18 @@ def antideriv_matrix(n: int, a: float, b: float) -> np.ndarray:
     F(x) = int_a^x f, both in the variable s mapped to [-1, 1]: numpy's
     ``chebint`` of each unit series from s = -1, times dx/ds = (b-a)/2."""
     m = np.polynomial.chebyshev.chebint(np.eye(n), lbnd=-1, scl=(b - a) / 2.0)
+    m.flags.writeable = False
+    return m
+
+
+@functools.lru_cache(maxsize=16)
+def deriv_matrix(n: int, a: float, b: float) -> np.ndarray:
+    """n x n map from the Chebyshev coefficients c_0..c_{n-1} of f on [a, b]
+    to those of f' (numpy's ``chebder`` of each unit series times 2/(b-a), a
+    zero last row); T_j' has degree j - 1, so its leading k x k block maps
+    any k-term series."""
+    m = np.zeros((n, n))
+    m[:-1] = np.polynomial.chebyshev.chebder(np.eye(n), scl=2.0 / (b - a))
     m.flags.writeable = False
     return m
 
@@ -135,16 +141,13 @@ def coeff_matrix(n: int) -> np.ndarray:
 
 
 def chop(values: np.ndarray, tol: float) -> np.ndarray:
-    """Node values (n, c) cut to k >= 2 series terms, 1 + the last degree whose
-    coefficient (largest over the columns) exceeds ``tol`` of the largest, and
-    read at the k CGL nodes; a cut to n - 1 would save one node for a new core,
-    so it keeps all n and, like any uncut input, returns ``values`` itself."""
-    n = values.shape[0]
-    coef = coeff_matrix(n) @ values
+    """Node values (n, c) to the rows c_0..c_{k-1} of their interpolant's
+    Chebyshev coefficients: k >= 2 is 1 + the last degree whose coefficient
+    (largest over the columns) exceeds ``tol`` of the largest."""
+    coef = coeff_matrix(len(values)) @ values
     mags = np.abs(coef).max(axis=1)
     above = np.flatnonzero(mags > tol * mags.max())
-    k = max(int(above[-1]) + 1 if above.size else 0, 2)
-    return values if k >= n - 1 else _cheb_at_nodes(k, k) @ coef[:k]
+    return coef[:max(int(above[-1]) + 1 if above.size else 0, 2)]
 
 
 def _inverse_differences(n: int, a: float, b: float, pts: np.ndarray) -> np.ndarray:
@@ -230,16 +233,17 @@ class ChebGrid:
 
 
 def value_grad_cores(tt, grid: ChebGrid) -> list:
-    """Per mode, [w G | w D1 G | w]: G the core unfolded to n x (r s) and cut
-    by ``chop`` at ``CHOP_TOL`` to its k kept nodes, its derivative and ones,
-    row j times the barycentric weight w_j of the k nodes."""
+    """Per mode, [w G | w G' | w]: the core unfolded to n x (r s) and cut by
+    ``chop`` at ``CHOP_TOL`` to k series terms c; G, G' and ones are the
+    series [c | c' | e_0] at the k CGL nodes, row j times the barycentric
+    weight w_j of the k nodes (T_0 = 1 there exactly)."""
     out = []
     for core in tt.cores:
         r, n, s = core.shape
-        g = chop(core.transpose(1, 0, 2).reshape(n, r * s), CHOP_TOL)
-        k = len(g)
-        both = np.concatenate([g, diff_matrix(k, grid.a, grid.b) @ g, np.ones((k, 1))], axis=1)
-        out.append(both * barycentric_weights(k)[:, None])
+        c = chop(core.transpose(1, 0, 2).reshape(n, r * s), CHOP_TOL)
+        k = len(c)
+        series = np.hstack([c, deriv_matrix(n, grid.a, grid.b)[:k, :k] @ c, np.eye(k, 1)])
+        out.append((_cheb_at_nodes(k, k) @ series) * barycentric_weights(k)[:, None])
     return out
 
 
@@ -248,10 +252,10 @@ def interp_value_and_grad(tt, grid: ChebGrid, x: np.ndarray, _cores=None):
 
     Each mode reads its series cut at ``CHOP_TOL`` (``value_grad_cores``): the
     factor W_k G_k per point, with W_k the interpolation rows of the k kept
-    nodes at x[:, k] and G_k the cut core unfolded to k x (r s), and the
-    derivative factor W_k (D1 G_k). One product of the inverse differences
-    C_k with [w G_k | w D1 G_k | w] gives both and, in its last column, the
-    row sums that normalize them, so W_k is never formed.
+    nodes at x[:, k] and G_k the cut series there, k x (r s), and the
+    derivative factor W_k G_k', G_k' its derivative there. One product of the
+    inverse differences C_k with [w G_k | w G_k' | w] gives both and, in its
+    last column, the row sums that normalize them, so W_k is never formed.
     ``_cores`` takes ``value_grad_cores(tt, grid)`` from a caller that evaluates
     the same tensor many times. Prefix/suffix chain products are shared across
     modes. Points outside the box raise ``DomainBoundsError``.

@@ -233,11 +233,11 @@ def _flow_report(run: _Run) -> dict:
 
     ``score_nodes_*`` are the chopped per-mode node counts that the scores
     were read through (see ``fpe``): the mean over snapshots and modes, and
-    snapshot 0's per mode, a resolution margin (all ``n_grid`` nodes mean
-    the grid barely resolves p0). ``x1_abs_max_over_box`` is the largest
-    coordinate distance of a finite endpoint from the box center over the
-    box half-width (None when no path stayed finite); above 1 a path
-    escaped the box.
+    snapshot 0's per mode, a resolution margin (all ``n_grid`` nodes mean the
+    grid barely resolves p0; ``n_grid - 1`` is a cut like any other).
+    ``x1_abs_max_over_box`` is the largest coordinate distance of a finite
+    endpoint from the box center over the box half-width (None when no path
+    stayed finite); above 1 a path escaped the box.
     """
     nodes = run.traj.score_nodes
     _, x1 = _finite_paths(run)

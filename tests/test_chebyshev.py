@@ -3,8 +3,9 @@ import pytest
 
 from ttflow.chebyshev import (ChebGrid, _cheb_at_nodes, antideriv_matrix,
                               barycentric_weights, cc_weights, cdf_matrices,
-                              cheb_nodes, cheb_rows, chop, coeff_matrix, diff_matrix,
-                              interp_matrix, interp_value_and_grad, value_grad_cores)
+                              cheb_nodes, cheb_rows, chop, coeff_matrix, deriv_matrix,
+                              diff_matrix, interp_matrix, interp_value_and_grad,
+                              value_grad_cores)
 from ttflow.errors import DomainBoundsError, InvalidShapeError
 from ttflow.fpe import DensityTrajectory, fpe_solve
 from ttflow.tt import TTTensor, tt_from_dense, tt_integrate, tt_scale
@@ -40,6 +41,37 @@ def test_differentiation_exact_on_polynomials():
             scale = max(np.abs(p(x)).max(), 1.0)
             assert np.abs(d1 @ p(x) - p.deriv()(x)).max() <= 1e-9 * scale
             assert np.abs(d2 @ p(x) - p.deriv(2)(x)).max() <= 1e-7 * scale
+        # the leading k x k block of the series map differentiates any k-term
+        # series, as numpy's chebder does; the score reads every cut this way
+        for k in (2, n // 2, n):
+            c = rng.standard_normal(k)
+            want = np.polynomial.chebyshev.chebder(c, scl=2.0 / (b - a))
+            got = deriv_matrix(n, a, b)[:k, :k] @ c
+            assert got[-1] == 0.0
+            assert np.abs(got[:-1] - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _barycentric_diff_matrix(n, a, b):
+    # the barycentric first-derivative matrix, its diagonal by the
+    # negative-sum trick: an independent construction of diff_matrix
+    x = cheb_nodes(n, a, b)
+    w = barycentric_weights(n)
+    dx = x[:, None] - x[None, :]
+    np.fill_diagonal(dx, 1.0)
+    d = (w[None, :] / w[:, None]) / dx
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -d.sum(axis=1))
+    return d
+
+
+def test_diff_matrix_matches_the_barycentric_reference():
+    # the series product against the barycentric form, within 1e-14 n of the
+    # largest entry (measured 7.2e-13 at n = 250 on +-12)
+    for n in (8, 64, 128, 250):
+        for a, b in ((-8.0, 8.0), (-12.0, 12.0)):
+            ref = _barycentric_diff_matrix(n, a, b)
+            err = np.abs(diff_matrix(n, a, b) - ref).max()
+            assert err <= 1e-14 * n * np.abs(ref).max(), (n, a, err)
 
 
 def test_quadrature_weights_on_five_nodes():
@@ -115,15 +147,17 @@ def _cheb_poly(rng, deg, a, b):
 
 
 def test_chop_reads_the_cut_series_at_its_own_nodes():
-    # a degree-9 polynomial on 40 nodes needs 10; a constant still keeps 2
+    # a degree-9 polynomial on 40 nodes keeps its 10 coefficients, and one of
+    # degree 38 its 39: a cut to n - 1 is a cut. A constant still keeps 2
     rng = np.random.default_rng(13)
     for a, b in ((-8.0, 8.0), (-3.0, 5.0)):
-        p = _cheb_poly(rng, 9, a, b)
-        got = chop(p(cheb_nodes(40, a, b))[:, None], 1e-12)
-        want = p(cheb_nodes(10, a, b))
-        assert got.shape == (10, 1)
-        assert np.abs(got[:, 0] - want).max() <= 1e-13 * np.abs(want).max()
-    assert chop(np.full((40, 1), 3.0), 1e-12).shape == (2, 1)
+        for deg in (9, 38):
+            p = _cheb_poly(rng, deg, a, b)
+            got = chop(p(cheb_nodes(40, a, b))[:, None], 1e-12)
+            assert got.shape == (deg + 1, 1)
+            assert np.abs(got[:, 0] - p.coef).max() <= 1e-13 * np.abs(p.coef).max()
+    const = chop(np.full((40, 1), 3.0), 1e-12)
+    assert const.shape == (2, 1) and np.abs(const[:, 0] - [3.0, 0.0]).max() <= 1e-14
 
 
 def test_chop_cuts_columns_to_the_longer_series():
@@ -131,26 +165,19 @@ def test_chop_cuts_columns_to_the_longer_series():
     p, q = _cheb_poly(rng, 5, -8.0, 8.0), _cheb_poly(rng, 12, -8.0, 8.0)
     x = cheb_nodes(40, -8.0, 8.0)
     got = chop(np.column_stack([p(x), q(x)]), 1e-12)
-    y = cheb_nodes(13, -8.0, 8.0)
-    want = np.column_stack([p(y), q(y)])
+    want = np.column_stack([np.pad(p.coef, (0, 7)), q.coef])
     assert got.shape == (13, 2)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_chop_that_would_save_one_node_returns_the_input():
-    rng = np.random.default_rng(15)
-    x = cheb_nodes(40, -8.0, 8.0)
-    for deg in (38, 39):  # kept lengths n - 1 and n
-        values = _cheb_poly(rng, deg, -8.0, 8.0)(x)[:, None]
-        assert chop(values, 1e-12) is values
-
-
 def test_node_table_is_cached_and_read_only():
-    # chop reads the cut series through this table, so a write would corrupt it
-    t = _cheb_at_nodes(10, 10)
-    assert _cheb_at_nodes(10, 10) is t and not t.flags.writeable
-    with pytest.raises(ValueError):
-        t[0, 0] = 1.0
+    # value_grad_cores reads every cut series and its derivative through these
+    # tables, so a write would corrupt them
+    for table in (lambda: _cheb_at_nodes(10, 10), lambda: deriv_matrix(10, -8.0, 8.0)):
+        t = table()
+        assert table() is t and not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0] = 1.0
 
 
 def test_interp_matrix_identity_at_nodes():
@@ -220,14 +247,16 @@ def test_interp_matrix_matches_reference_bit_for_bit():
 
 
 def _explicit_value_and_grad(t, grid, x):
-    # values from W_k G_k and gradients from the row products W_k D1, chained
-    # mode by mode without sharing prefixes
+    # values from W_k G_k and gradients from the row products W_k D1 with the
+    # barycentric D1 of the full grid, chained mode by mode without sharing
+    # prefixes
     m, d = x.shape
     vf, gf = [], []
     for k, core in enumerate(t.cores):
         w = interp_matrix(grid.ns[k], grid.a, grid.b, x[:, k])
+        d1 = _barycentric_diff_matrix(grid.ns[k], grid.a, grid.b)
         vf.append(np.einsum("pj,rjs->prs", w, core))
-        gf.append(np.einsum("pj,rjs->prs", w @ grid.diff1(k), core))
+        gf.append(np.einsum("pj,rjs->prs", w @ d1, core))
 
     def chain(fs):
         out = np.ones((m, 1))
@@ -240,6 +269,9 @@ def _explicit_value_and_grad(t, grid, x):
 
 
 def test_fused_evaluator_matches_explicit_rows():
+    # gradients within 5e-12 of the largest (measured 9.9e-13 at the nodes):
+    # differentiating in the series carries about n^2 eps of each column's
+    # scale, the barycentric reference about 1e-14 here
     grid = ChebGrid.uniform(3, 20, -4.0, 4.0)
     f = lambda x, y, z: np.exp(-(x**2 + y**2 + z**2) / 5) * (2 + np.sin(x * y - z))
     t = _smooth_tt(grid, f, tol=1e-12)
@@ -252,15 +284,14 @@ def test_fused_evaluator_matches_explicit_rows():
         vals, grads = interp_value_and_grad(t, grid, x)
         ref_vals, ref_grads = _explicit_value_and_grad(t, grid, x)
         assert np.abs(vals - ref_vals).max() <= 1e-13 * np.abs(ref_vals).max(), name
-        assert np.abs(grads - ref_grads).max() <= 1e-13 * np.abs(ref_grads).max(), name
+        assert np.abs(grads - ref_grads).max() <= 5e-12 * np.abs(ref_grads).max(), name
 
 
 def test_score_cache_matches_fresh_evaluation():
     # snapshot derivative cores are cached across calls; any call order must
-    # give exactly what a fresh trajectory gives. Mode 1 here is even in y, so
-    # its top Chebyshev coefficient is exactly zero; chopping it would save
-    # one node, so every mode keeps its 24 and the score is the full-grid
-    # interpolant's, bit for bit
+    # give exactly what a fresh trajectory gives, bit for bit. Mode 1 here is
+    # even in y, so its top Chebyshev coefficient is exactly zero and the
+    # chop cuts it to 23 terms; mode 0 keeps all 24
     grid = ChebGrid.uniform(2, 24, -6.0, 6.0)
     f = lambda x, y: np.exp(-(x**2 + y**2) / 3) * (1.5 + np.sin(x) * np.cos(y))
     p0 = _smooth_tt(grid, f, tol=1e-12)
@@ -274,7 +305,7 @@ def test_score_cache_matches_fresh_evaluation():
         vals, grads = interp_value_and_grad(traj.snapshots[m], grid, x)
         assert np.array_equal(got, grads / vals[:, None]), m
         held, cores = traj._cached
-        assert held == m and traj.score_nodes[m] == (24, 24)
+        assert held == m and traj.score_nodes[m] == (24, 23)
         for c, ref in zip(cores, value_grad_cores(traj.snapshots[m], grid)):
             assert np.array_equal(c, ref), m
     assert traj.floor_hits == 0

@@ -3,7 +3,7 @@ import pytest
 from scipy.fft import dct
 from test_chebyshev import _explicit_value_and_grad
 
-from ttflow import fpe
+from ttflow import chebyshev, fpe
 from ttflow.chebyshev import CHOP_TOL, ChebGrid, interp_matrix, interp_value_and_grad
 from ttflow.cross import cross_approximate
 from ttflow.densities import (diag_gaussian_tt, gen_quartic_mixture, gen_tt_random,
@@ -295,13 +295,14 @@ def test_score_floor_counts_hits():
     assert traj.floor_hits == 2
     # the 4x snapshot is floored at p0's value too, so its score on the zero
     # column is 4x snapshot 0's there, not equal to it. Mode 1 is even, so
-    # its top Chebyshev coefficient is exactly zero; chopping it would save
-    # one node, so the score reads the full 32 x 32 snapshot
+    # its top Chebyshev coefficient is exactly zero and the chop cuts it to
+    # 31 terms. Mode 0 keeps all 32 and is read back from its series, so the
+    # zeroed node reads 0 to roundoff of the peak 4 (measured 9.4e-18)
     out_big = traj.score_at(1, pts)
     assert traj.floor_hits == 4
-    assert traj._cached[0] == 1 and traj.score_nodes[1] == (32, 32)
+    assert traj._cached[0] == 1 and traj.score_nodes[1] == (32, 31)
     vals, grads = interp_value_and_grad(big, grid, pts)
-    assert np.all(vals == 0.0) and np.abs(grads[:, 0]).min() > 0
+    assert np.abs(vals).max() <= 1e-15 and np.abs(grads[:, 0]).min() > 0
     np.testing.assert_allclose(out_big, grads / traj.floor, rtol=1e-14)
     np.testing.assert_allclose(out_big, 4.0 * out, rtol=1e-14)
 
@@ -349,6 +350,26 @@ def test_chopped_score_matches_full_grid_score(mixture_flow):
         assert err <= 1e-9 * np.abs(full).max(), (j, err)
 
 
+def test_scores_build_no_differentiation_matrix(mixture_flow, monkeypatch):
+    # each cut series is differentiated through the leading block of one
+    # derivative table per grid, so the many cut sizes of a trajectory build
+    # no node-space differentiation matrix
+    calls = []
+    real = chebyshev.diff_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    traj, _ = mixture_flow
+    fresh = DensityTrajectory(grid=traj.grid, h=traj.h, snapshots=traj.snapshots)
+    x0 = sample_tt(traj.snapshots[0], traj.grid, 50, seed=2)
+    monkeypatch.setattr(chebyshev, "diff_matrix", counting)
+    assert flow_integrate(fresh, x0).failed_ids == []
+    assert calls == []
+    assert len(set().union(*fresh.score_nodes.values())) > 10  # 15 here
+
+
 def test_late_snapshots_keep_at_most_half_the_nodes(mixture_flow):
     # the diffusion has smoothed the density by t = 5; a score read on the
     # full grid again would keep 160 nodes per mode here
@@ -359,7 +380,7 @@ def test_late_snapshots_keep_at_most_half_the_nodes(mixture_flow):
 
 def test_chop_keeps_the_last_coefficient_above_tolerance(mixture_flow):
     # reference coefficients from a DCT-I of the reversed (descending) nodes;
-    # a chop that would save a single node keeps all n
+    # the cut keeps 1 + the last degree above tolerance, at least 2
     traj, _ = mixture_flow
     for m in (0, 1, 8, traj.n_steps):
         for core, kept in zip(traj.snapshots[m].cores, traj.score_nodes[m]):
@@ -369,7 +390,7 @@ def test_chop_keeps_the_last_coefficient_above_tolerance(mixture_flow):
             coef[[0, -1]] /= 2
             mags = np.abs(coef).max(axis=1)
             last = np.flatnonzero(mags > CHOP_TOL * mags.max())[-1] + 1
-            assert kept == (n if last >= n - 1 else max(last, 2)), (m, kept, last)
+            assert kept == max(last, 2), (m, kept, last)
 
 
 def test_undecayed_snapshot_keeps_the_full_grid():

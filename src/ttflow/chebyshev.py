@@ -1,21 +1,17 @@
 """Chebyshev collocation grids: nodes, differentiation, quadrature, interpolation.
 
 Nodes are Chebyshev-Gauss-Lobatto points mapped affinely to [a, b] and stored
-in ascending order. One calculus of four series maps builds every node-space
-operator: node values to Chebyshev coefficients (``coeff_matrix``, a DCT-I),
-coefficients to values at the nodes (a table of T_j there), and coefficients
-to those of the derivative (``deriv_matrix``) and of the antiderivative from a
-(``antideriv_matrix``). Their products give the differentiation matrix, the
-Clenshaw-Curtis weights (the antiderivative at b, exact for degree <= n-1) and
-the sampler's ``cdf_matrices``; all are cached and returned read-only.
-``chop`` cuts node values to the leading coefficients of their series; the TT
-evaluator cuts every mode at ``CHOP_TOL`` and differentiates each cut in the
-series, through the leading block of one derivative map per grid.
+in ascending order. Node values differentiate by the barycentric matrix with
+the negative-sum diagonal, whose error follows the values near each node. All
+else is series maps: node values to Chebyshev coefficients (a DCT-I), those to
+values at the nodes, and to the coefficients of the derivative and of the
+antiderivative from a. They give the Clenshaw-Curtis weights and the sampler's
+CDF maps; ``chop`` cuts node values to their leading coefficients, and the TT
+evaluator differentiates each cut in the series. Tables are cached, read-only.
 
-Barycentric forms serve only evaluation at points: the second form, with the
-differences pts_i - x_j the rank-2 product [pts, 1] @ [1; -x], rounded once
-like the subtraction, and the weights (+-1, +-1/2) folded exactly into the
-matrix that follows.
+Interpolation uses the second barycentric form: the differences pts_i - x_j
+are the rank-2 product [pts, 1] @ [1; -x], rounded once like the subtraction,
+and the weights (+-1, +-1/2) fold exactly into the matrix that follows.
 """
 
 from __future__ import annotations
@@ -55,9 +51,14 @@ def barycentric_weights(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def diff_matrix(n: int, a: float, b: float) -> np.ndarray:
-    """First-derivative collocation matrix on the CGL nodes of [a, b]: node
-    values to the series, its derivative, and back to the nodes."""
-    d = _cheb_at_nodes(n, n) @ deriv_matrix(n, a, b) @ coeff_matrix(n)
+    """First-derivative collocation matrix on the CGL nodes of [a, b]."""
+    x = cheb_nodes(n, a, b)
+    w = barycentric_weights(n)
+    dx = x[:, None] - x[None, :]
+    np.fill_diagonal(dx, 1.0)
+    d = (w[None, :] / w[:, None]) / dx
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -d.sum(axis=1))
     d.flags.writeable = False
     return d
 
@@ -85,12 +86,9 @@ def antideriv_matrix(n: int, a: float, b: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def deriv_matrix(n: int, a: float, b: float) -> np.ndarray:
-    """n x n map from the Chebyshev coefficients c_0..c_{n-1} of f on [a, b]
-    to those of f' (numpy's ``chebder`` of each unit series times 2/(b-a), a
-    zero last row); T_j' has degree j - 1, so its leading k x k block maps
-    any k-term series."""
-    m = np.zeros((n, n))
-    m[:-1] = np.polynomial.chebyshev.chebder(np.eye(n), scl=2.0 / (b - a))
+    """Chebyshev coefficients of f on [a, b] to those of f' (``chebder`` of the
+    identity, a zero last row); its leading k x k block differentiates k terms."""
+    m = np.vstack([np.polynomial.chebyshev.chebder(np.eye(n), scl=2.0 / (b - a)), np.zeros(n)])
     m.flags.writeable = False
     return m
 
@@ -233,17 +231,20 @@ class ChebGrid:
 
 
 def value_grad_cores(tt, grid: ChebGrid) -> list:
-    """Per mode, [w G | w G' | w]: the core unfolded to n x (r s) and cut by
-    ``chop`` at ``CHOP_TOL`` to k series terms c; G, G' and ones are the
-    series [c | c' | e_0] at the k CGL nodes, row j times the barycentric
-    weight w_j of the k nodes (T_0 = 1 there exactly)."""
+    """Per mode, [w G | w G' | w] on the k nodes ``chop`` keeps: a cut core reads
+    its series c and c' there, an uncut one its values and their ``diff_matrix``."""
     out = []
     for core in tt.cores:
         r, n, s = core.shape
-        c = chop(core.transpose(1, 0, 2).reshape(n, r * s), CHOP_TOL)
+        g = core.transpose(1, 0, 2).reshape(n, r * s)
+        c = chop(g, CHOP_TOL)
         k = len(c)
-        series = np.hstack([c, deriv_matrix(n, grid.a, grid.b)[:k, :k] @ c, np.eye(k, 1)])
-        out.append((_cheb_at_nodes(k, k) @ series) * barycentric_weights(k)[:, None])
+        if k < n:
+            dc = deriv_matrix(n, grid.a, grid.b)[:k, :k] @ c
+            g = _cheb_at_nodes(k, k) @ np.hstack([c, dc, np.eye(k, 1)])  # T_0 = 1
+        else:
+            g = np.hstack([g, diff_matrix(n, grid.a, grid.b) @ g, np.ones((n, 1))])
+        out.append(g * barycentric_weights(k)[:, None])
     return out
 
 

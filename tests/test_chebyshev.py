@@ -51,26 +51,15 @@ def test_differentiation_exact_on_polynomials():
             assert np.abs(got[:-1] - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def _barycentric_diff_matrix(n, a, b):
-    # the barycentric first-derivative matrix, its diagonal by the
-    # negative-sum trick: an independent construction of diff_matrix
-    x = cheb_nodes(n, a, b)
-    w = barycentric_weights(n)
-    dx = x[:, None] - x[None, :]
-    np.fill_diagonal(dx, 1.0)
-    d = (w[None, :] / w[:, None]) / dx
-    np.fill_diagonal(d, 0.0)
-    np.fill_diagonal(d, -d.sum(axis=1))
-    return d
-
-
-def test_diff_matrix_matches_the_barycentric_reference():
-    # the series product against the barycentric form, within 1e-14 n of the
-    # largest entry (measured 7.2e-13 at n = 250 on +-12)
+def test_series_derivative_matches_diff_matrix():
+    # node values to the series, its derivative by deriv_matrix and back to
+    # the nodes against the barycentric diff_matrix, within 1e-14 n of the
+    # largest entry (measured 7.2e-13 of it at n = 250 on +-12)
     for n in (8, 64, 128, 250):
         for a, b in ((-8.0, 8.0), (-12.0, 12.0)):
-            ref = _barycentric_diff_matrix(n, a, b)
-            err = np.abs(diff_matrix(n, a, b) - ref).max()
+            ref = diff_matrix(n, a, b)
+            series = _cheb_at_nodes(n, n) @ deriv_matrix(n, a, b) @ coeff_matrix(n)
+            err = np.abs(series - ref).max()
             assert err <= 1e-14 * n * np.abs(ref).max(), (n, a, err)
 
 
@@ -247,16 +236,14 @@ def test_interp_matrix_matches_reference_bit_for_bit():
 
 
 def _explicit_value_and_grad(t, grid, x):
-    # values from W_k G_k and gradients from the row products W_k D1 with the
-    # barycentric D1 of the full grid, chained mode by mode without sharing
-    # prefixes
+    # values from W_k G_k and gradients from the row products W_k D1, chained
+    # mode by mode without sharing prefixes
     m, d = x.shape
     vf, gf = [], []
     for k, core in enumerate(t.cores):
         w = interp_matrix(grid.ns[k], grid.a, grid.b, x[:, k])
-        d1 = _barycentric_diff_matrix(grid.ns[k], grid.a, grid.b)
         vf.append(np.einsum("pj,rjs->prs", w, core))
-        gf.append(np.einsum("pj,rjs->prs", w @ d1, core))
+        gf.append(np.einsum("pj,rjs->prs", w @ grid.diff1(k), core))
 
     def chain(fs):
         out = np.ones((m, 1))
@@ -269,9 +256,6 @@ def _explicit_value_and_grad(t, grid, x):
 
 
 def test_fused_evaluator_matches_explicit_rows():
-    # gradients within 5e-12 of the largest (measured 9.9e-13 at the nodes):
-    # differentiating in the series carries about n^2 eps of each column's
-    # scale, the barycentric reference about 1e-14 here
     grid = ChebGrid.uniform(3, 20, -4.0, 4.0)
     f = lambda x, y, z: np.exp(-(x**2 + y**2 + z**2) / 5) * (2 + np.sin(x * y - z))
     t = _smooth_tt(grid, f, tol=1e-12)
@@ -284,7 +268,7 @@ def test_fused_evaluator_matches_explicit_rows():
         vals, grads = interp_value_and_grad(t, grid, x)
         ref_vals, ref_grads = _explicit_value_and_grad(t, grid, x)
         assert np.abs(vals - ref_vals).max() <= 1e-13 * np.abs(ref_vals).max(), name
-        assert np.abs(grads - ref_grads).max() <= 5e-12 * np.abs(ref_grads).max(), name
+        assert np.abs(grads - ref_grads).max() <= 1e-13 * np.abs(ref_grads).max(), name
 
 
 def test_score_cache_matches_fresh_evaluation():

@@ -296,13 +296,13 @@ def test_score_floor_counts_hits():
     # the 4x snapshot is floored at p0's value too, so its score on the zero
     # column is 4x snapshot 0's there, not equal to it. Mode 1 is even, so
     # its top Chebyshev coefficient is exactly zero and the chop cuts it to
-    # 31 terms. Mode 0 keeps all 32 and is read back from its series, so the
-    # zeroed node reads 0 to roundoff of the peak 4 (measured 9.4e-18)
+    # 31 terms. Mode 0 keeps all 32 on its node values, so the zeroed node
+    # reads exactly 0
     out_big = traj.score_at(1, pts)
     assert traj.floor_hits == 4
     assert traj._cached[0] == 1 and traj.score_nodes[1] == (32, 31)
     vals, grads = interp_value_and_grad(big, grid, pts)
-    assert np.abs(vals).max() <= 1e-15 and np.abs(grads[:, 0]).min() > 0
+    assert np.all(vals == 0.0) and np.abs(grads[:, 0]).min() > 0
     np.testing.assert_allclose(out_big, grads / traj.floor, rtol=1e-14)
     np.testing.assert_allclose(out_big, 4.0 * out, rtol=1e-14)
 
@@ -350,10 +350,11 @@ def test_chopped_score_matches_full_grid_score(mixture_flow):
         assert err <= 1e-9 * np.abs(full).max(), (j, err)
 
 
-def test_scores_build_no_differentiation_matrix(mixture_flow, monkeypatch):
+def test_cut_scores_build_no_differentiation_matrix(mixture_flow, monkeypatch):
     # each cut series is differentiated through the leading block of one
     # derivative table per grid, so the many cut sizes of a trajectory build
-    # no node-space differentiation matrix
+    # no node-space differentiation matrix; only an uncut mode reads the
+    # grid's own
     calls = []
     real = chebyshev.diff_matrix
 
@@ -366,7 +367,7 @@ def test_scores_build_no_differentiation_matrix(mixture_flow, monkeypatch):
     x0 = sample_tt(traj.snapshots[0], traj.grid, 50, seed=2)
     monkeypatch.setattr(chebyshev, "diff_matrix", counting)
     assert flow_integrate(fresh, x0).failed_ids == []
-    assert calls == []
+    assert {args[0] for args in calls} <= set(traj.grid.ns)
     assert len(set().union(*fresh.score_nodes.values())) > 10  # 15 here
 
 

@@ -1,17 +1,21 @@
 """Chebyshev collocation grids: nodes, differentiation, quadrature, interpolation.
 
 Nodes are Chebyshev-Gauss-Lobatto points mapped affinely to [a, b] and stored
-in ascending order. Node values differentiate by the barycentric matrix with
-the negative-sum diagonal, whose error follows the values near each node. All
-else is series maps: node values to Chebyshev coefficients (a DCT-I), those to
-values at the nodes, and to the coefficients of the derivative and of the
-antiderivative from a. They give the Clenshaw-Curtis weights and the sampler's
-CDF maps; ``chop`` cuts node values to their leading coefficients, and the TT
-evaluator differentiates each cut in the series. Tables are cached, read-only.
+in ascending order. Each job has one route:
 
-Interpolation uses the second barycentric form: the differences pts_i - x_j
-are the rank-2 product [pts, 1] @ [1; -x], rounded once like the subtraction,
-and the weights (+-1, +-1/2) fold exactly into the matrix that follows.
+- Series maps between node values: node values to Chebyshev coefficients (a
+  DCT-I), those to values at CGL nodes, and to the coefficients of the
+  derivative and of the antiderivative from a. They give the Clenshaw-Curtis
+  weights, the sampler's CDF values at n + 1 nodes and ``chop``'s cut series,
+  which the TT evaluator differentiates in the series.
+- One point kernel for every evaluation off the nodes: the second barycentric
+  form. The differences pts_i - x_j are the rank-2 product [pts, 1] @ [1; -x],
+  rounded once like the subtraction, and the weights (+-1, +-1/2) fold exactly
+  into the matrix that follows.
+- Uncut node values differentiate by the barycentric matrix with the
+  negative-sum diagonal, whose error follows the values near each node.
+
+Tables are cached, read-only.
 """
 
 from __future__ import annotations
@@ -95,22 +99,17 @@ def deriv_matrix(n: int, a: float, b: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def cdf_matrices(n: int, a: float, b: float) -> tuple:
-    """Maps from the values at the n ascending CGL nodes of [a, b]: to the
-    Chebyshev coefficients of their interpolant f followed by those of its
-    CDF F(x) = int_a^x f (n x (2n+1)), and to F at the nodes (n x n)."""
+    """Maps from the values of f at the n ascending CGL nodes of [a, b]: to
+    the values of its CDF F(x) = int_a^x f and of f at the n + 1 CGL nodes,
+    [F | f] (n x 2(n+1)), exact there as F has degree n; and to F at the n
+    nodes (n x n)."""
     to_coef = coeff_matrix(n).T
     to_cdf = to_coef @ antideriv_matrix(n, a, b).T
-    series = np.concatenate([to_coef, to_cdf], axis=1)
+    t = _cheb_at_nodes(n + 1, n + 1)
+    at_fine = np.concatenate([to_cdf @ t.T, to_coef @ t[:, :n].T], axis=1)
     at_nodes = to_cdf @ _cheb_at_nodes(n, n + 1).T
-    series.flags.writeable = at_nodes.flags.writeable = False
-    return series, at_nodes
-
-
-def cheb_rows(x: np.ndarray, m: int, a: float, b: float) -> np.ndarray:
-    """T_0..T_{m-1} at the points x of [a, b], mapped to [-1, 1]: (len(x), m).
-    The mapped points are clipped to [-1, 1] before ``arccos``."""
-    theta = np.arccos(np.clip((2.0 * np.asarray(x) - (a + b)) / (b - a), -1.0, 1.0))
-    return np.cos(theta[:, None] * np.arange(m))
+    at_fine.flags.writeable = at_nodes.flags.writeable = False
+    return at_fine, at_nodes
 
 
 @functools.lru_cache(maxsize=64)  # a d2/250 trajectory's chops read 38-45 sizes

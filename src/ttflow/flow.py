@@ -1,13 +1,9 @@
 """Sampling from TT densities and probability-flow transport of the samples.
 
 The sampler draws one coordinate at a time, each from its 1-d conditional by
-inverse CDF. The CDF is the exact antiderivative of the conditional's raw
-Chebyshev interpolant, so it dips wherever the interpolant has a negative
-lobe. The law sampled is that CDF made non-decreasing by its running maximum
-over the nodes: a target u * total (total, the largest node CDF) is solved
-for inside the first node interval whose CDF reaches it, by safeguarded
-Newton with bisection, until |F - target| <= 8 eps total, the bracket is
-narrower than 1e-13 (b - a) or no double lies strictly inside it.
+inverse CDF: the exact antiderivative of the conditional's raw Chebyshev
+interpolant, read through the barycentric kernel (``_invert_cdf`` states the
+law sampled and the stop rules).
 
 The flow ODE is dx/dt = -[x + grad log p_t(x)]. The integrator takes one
 classical RK4 step of size 2h per pair of snapshot intervals: step j reads
@@ -25,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chebyshev import ChebGrid, cdf_matrices, cheb_rows
+from .chebyshev import ChebGrid, cdf_matrices, interp_matrix
 from .errors import ConfigError, InvalidShapeError, SamplingError
 from .tt import TTTensor
 
@@ -66,17 +62,13 @@ def sample_tt(p: TTTensor, grid: ChebGrid, n: int, seed: int) -> PointCloud:
 
     Mode k's 1-d conditional combines trailing cores contracted with the
     quadrature weights and leading cores contracted with interpolation rows
-    at the coordinates already drawn. ``cdf_matrices`` takes its node values
-    to the Chebyshev series of the raw interpolant and of its exact CDF F
-    (negative lobes included, which F keeps as dips) and to F at the nodes.
-    The law sampled is F made non-decreasing by its running maximum: total
-    is the largest node CDF, and draw u becomes a root of F(x) = u * total
-    inside the first node interval whose CDF reaches u * total.
-    ``_invert_cdf`` finds it by safeguarded Newton with bisection and stops
-    a row once |F - u * total| <= 8 eps total, its bracket is narrower than
-    1e-13 (b - a) or no double lies strictly inside it. A total that is not
-    positive and finite raises ``SamplingError``. The draws from ``seed``
-    are n uniforms per mode.
+    at the coordinates already drawn. ``cdf_matrices`` takes its n_k node
+    values to the exact CDF F of their raw interpolant f, and to f, at the
+    n_k + 1 CGL nodes, and to F at the n_k nodes. ``_invert_cdf`` turns draw
+    u into a root of F(x) = u * total, total the largest node CDF; its
+    docstring states the law sampled and the stop rules. A total that is not
+    positive and finite raises ``SamplingError``. The draws from ``seed`` are
+    n uniforms per mode.
     """
     if n < 1:
         raise InvalidShapeError(f"need n >= 1, got {n}")
@@ -96,44 +88,46 @@ def sample_tt(p: TTTensor, grid: ChebGrid, n: int, seed: int) -> PointCloud:
     left = np.ones((n, 1))
     for k in range(d):
         u = rng.random(n)
-        to_series, to_node_cdf = cdf_matrices(grid.ns[k], a, b)
+        to_fine, to_node_cdf = cdf_matrices(grid.ns[k], a, b)
         vals = left @ nodal[k]
-        coef, cdf = vals @ to_series, vals @ to_node_cdf
+        fine, cdf = vals @ to_fine, vals @ to_node_cdf
         total = cdf.max(axis=1)
         if np.any(total <= 0) or not np.isfinite(total).all():
             bad = int(np.where((total <= 0) | ~np.isfinite(total))[0][0])
             raise SamplingError(
                 f"conditional density for sample {bad} integrates to "
                 f"{total[bad]} at mode {k}; prefix {out[bad, :k]}")
-        out[:, k] = _invert_cdf(coef, cdf, u * total, _RESID_TOL * total, grid.nodes(k), a, b)
+        out[:, k] = _invert_cdf(fine, cdf, u * total, _RESID_TOL * total, grid.nodes(k), a, b)
         interp = grid.interp_rows(k, out[:, k])
         left = np.einsum("nr,nrs->ns", left, np.tensordot(interp, p.cores[k], (1, 1)))
     return PointCloud(points=out)
 
 
-def _invert_cdf(coef, cdf, target, tol, nodes, a, b) -> np.ndarray:
+def _invert_cdf(fine, cdf, target, tol, nodes, a, b) -> np.ndarray:
     """Per row, a root of F(x) = target inside the first node interval whose
     CDF (row of ``cdf``, at the ascending ``nodes`` of [a, b]) reaches it.
 
-    Row i of ``coef`` holds the Chebyshev coefficients of the density
-    (n columns) and then of its antiderivative F (n + 1). From the secant
-    point, each step evaluates F and the density at the row's iterate,
-    moves the bracket end on the iterate's side of the target, and takes
-    the Newton step if it lands strictly inside the bracket and is at most
-    half the previous step, else bisects. A row stops once |F - target| <=
-    ``tol``, its bracket is narrower than ``_BRACKET_TOL`` (b - a), or its
-    bisection point is not strictly inside it: far from 0 one ulp of x can
-    exceed the width stop. Every row stops: a Newton step on an unstopped
-    row is at least ``tol`` over the largest density, so the halving rule
-    forces a bisection within a bounded number of steps, and each bisection
-    shrinks the bracket until no double is left strictly inside.
+    F may dip where the density has a negative lobe, and the first interval
+    that reaches the target samples F made non-decreasing by its running
+    maximum over the nodes. Row i of ``fine`` holds F and then the density
+    at the m CGL nodes of [a, b]; one ``interp_matrix(m, a, b, x)`` block
+    reads both at the iterates x. From the secant point, each step moves the
+    bracket end on the iterate's side of the target and takes the Newton
+    step if it lands strictly inside the bracket and is at most half the
+    previous step, else bisects. A row stops once |F - target| <= ``tol``,
+    its bracket is narrower than ``_BRACKET_TOL`` (b - a), or its bisection
+    point is not strictly inside it: far from 0 one ulp of x can exceed the
+    width stop. Every row stops: a Newton step on an unstopped row is at
+    least ``tol`` over the largest density, so the halving rule forces a
+    bisection within a bounded number of steps, and each bisection shrinks
+    the bracket until no double is left strictly inside.
     """
     # node 0 holds F(a) = 0, so the bracket starts at node 1 at the latest
     right = np.maximum((cdf >= target[:, None]).argmax(axis=1), 1)
     rows = np.arange(len(target))
     lo, hi = nodes[right - 1], nodes[right]
     f_lo, f_hi = cdf[rows, right - 1], cdf[rows, right]
-    n = coef.shape[1] // 2
+    m = fine.shape[1] // 2
     gap = f_hi - f_lo
     frac = np.divide(target - f_lo, gap, out=np.full_like(gap, 0.5), where=gap > 0)
     x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
@@ -141,9 +135,9 @@ def _invert_cdf(coef, cdf, target, tol, nodes, a, b) -> np.ndarray:
     out = x.copy()
     width_tol = _BRACKET_TOL * (b - a)
     while rows.size:
-        cheb = cheb_rows(x, n + 1, a, b)
-        resid = np.einsum("ij,ij->i", cheb, coef[:, n:]) - target
-        dens = np.einsum("ij,ij->i", cheb[:, :n], coef[:, :n])
+        w = interp_matrix(m, a, b, x)
+        resid = (w * fine[:, :m]).sum(axis=1) - target  # pairwise: rounds below einsum
+        dens = (w * fine[:, m:]).sum(axis=1)
         below = resid < 0
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
@@ -154,7 +148,7 @@ def _invert_cdf(coef, cdf, target, tol, nodes, a, b) -> np.ndarray:
         nxt = np.where(take, newton, mid)
         step = np.abs(nxt - x)
         keep = (np.abs(resid) > tol) & (hi - lo >= width_tol) & (lo < mid) & (mid < hi)
-        rows, coef, target, tol = rows[keep], coef[keep], target[keep], tol[keep]
+        rows, fine, target, tol = rows[keep], fine[keep], target[keep], tol[keep]
         x, lo, hi, step = nxt[keep], lo[keep], hi[keep], step[keep]
     return out
 

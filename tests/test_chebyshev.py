@@ -3,7 +3,7 @@ import pytest
 
 from ttflow.chebyshev import (ChebGrid, _cheb_at_nodes, antideriv_matrix,
                               barycentric_weights, cc_weights, cdf_matrices,
-                              cheb_nodes, cheb_rows, chop, coeff_matrix, deriv_matrix,
+                              cheb_nodes, chop, coeff_matrix, deriv_matrix,
                               diff_matrix, interp_matrix, interp_value_and_grad,
                               value_grad_cores)
 from ttflow.errors import DomainBoundsError, InvalidShapeError
@@ -113,22 +113,23 @@ def test_antiderivative_matrix_is_read_only():
 
 
 def test_cdf_matrices_match_the_series_on_polynomials():
-    # node values of p to [p's series | F's series] and to F at the nodes,
-    # against numpy's closed form; cheb_rows evaluates both series
+    # node values of p to [F | p] at the n + 1 CGL nodes and to F at the n
+    # nodes, against numpy's closed form in the mapped variable s at the exact
+    # CGL positions, so the offset box does not round the reference
     rng = np.random.default_rng(12)
-    for n in (2, 3, 17, 50):
+    for n in (2, 3, 17, 50, 250):
+        s_n, s_m = (np.cos(np.pi * np.arange(k) / (k - 1))[::-1] for k in (n, n + 1))
+        p = np.polynomial.Polynomial(rng.standard_normal(n))
         for a, b in ((-8.0, 8.0), (1000.0, 1001.0)):
-            x = cheb_nodes(n, a, b)
-            p = np.polynomial.Polynomial(rng.standard_normal(n), domain=[a, b])
-            series, at_nodes = cdf_matrices(n, a, b)
-            assert series.shape == (n, 2 * n + 1) and at_nodes.shape == (n, n)
-            assert not series.flags.writeable and not at_nodes.flags.writeable
-            big_f, scale = p.integ(lbnd=a), max(np.abs(p(x)).max(), 1.0) * (b - a)
-            assert np.abs(p(x) @ at_nodes - big_f(x)).max() <= 1e-13 * scale
-            pts = np.append(rng.uniform(a, b, 20), [a, b])
-            rows, coef = cheb_rows(pts, n + 1, a, b), p(x) @ series
-            assert np.abs(rows[:, :n] @ coef[:n] - p(pts)).max() <= 1e-12 * scale
-            assert np.abs(rows @ coef[n:] - big_f(pts)).max() <= 1e-12 * scale
+            at_fine, at_nodes = cdf_matrices(n, a, b)
+            assert at_fine.shape == (n, 2 * n + 2) and at_nodes.shape == (n, n)
+            assert not at_fine.flags.writeable and not at_nodes.flags.writeable
+            big_f = p.integ(lbnd=-1) * ((b - a) / 2)  # int_a^x p = (b - a)/2 int_-1^s p
+            scale = max(np.abs(p(s_n)).max(), 1.0) * (b - a)
+            assert np.abs(p(s_n) @ at_nodes - big_f(s_n)).max() <= 1e-13 * scale
+            fine = p(s_n) @ at_fine
+            assert np.abs(fine[:n + 1] - big_f(s_m)).max() <= 1e-12 * scale
+            assert np.abs(fine[n + 1:] - p(s_m)).max() <= 1e-12 * scale
 
 
 def _cheb_poly(rng, deg, a, b):

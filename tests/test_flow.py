@@ -192,17 +192,35 @@ def test_sampler_stops_on_an_offset_narrow_box():
 
 
 def test_cdf_inversion_bisects_where_newton_cannot_step():
-    # F = 7 T_0 + 8 T_1 + T_2 = (s + 1)(2 s + 6) rises from 0 to 16 over
-    # [-8, 8] (x = 8 s); with a zero density column no Newton step is
-    # defined, and bisection alone must stop every row at the root
-    a, b, n = -8.0, 8.0, 4
-    coef = np.zeros((5, 2 * n + 1))
-    coef[:, n:n + 3] = [7.0, 8.0, 1.0]
+    # F = (s + 1)(2 s + 6) rises from 0 to 16 over [-8, 8] (x = 8 s); read at
+    # the 5 CGL nodes with a zero density block, no Newton step is defined,
+    # and bisection alone must stop every row at the root
+    a, b = -8.0, 8.0
+    s = np.cos(np.pi * np.arange(5) / 4)[::-1]
+    fine = np.zeros((5, 10))
+    fine[:, :5] = (s + 1) * (2 * s + 6)
     target = np.array([0.0, 1e-9, 3.0, 7.77, 16.0])
-    x = flow._invert_cdf(coef, np.tile([0.0, 16.0], (5, 1)), target,
+    x = flow._invert_cdf(fine, np.tile([0.0, 16.0], (5, 1)), target,
                          np.full(5, 8 * np.finfo(float).eps * 16.0), np.array([a, b]), a, b)
     root = 8.0 * (np.sqrt(16.0 + 8.0 * target) - 8.0) / 4.0
     assert np.abs(x - root).max() <= 1e-13 * (b - a)
+
+
+def test_sampler_reads_each_cdf_at_one_more_node_than_its_mode(monkeypatch):
+    # every Newton iterate reads F and the density through the barycentric
+    # kernel on the n_k + 1 CGL nodes of its mode, the degree of F plus one
+    grid = ChebGrid((24, 31), -8.0, 8.0)
+    p = _norm_tt(grid, [0.5, 0.0], [1.5, 0.8])
+    sizes = []
+    real = flow.interp_matrix
+
+    def counting(n, a, b, pts):
+        sizes.append(n)
+        return real(n, a, b, pts)
+
+    monkeypatch.setattr(flow, "interp_matrix", counting)
+    sample_tt(p, grid, 50, seed=4)
+    assert set(sizes) == {25, 32} and sizes[0] == 25 and sizes[-1] == 32
 
 
 def test_flow_requires_provider_box():

@@ -151,9 +151,9 @@ def _inverse_differences(n: int, a: float, b: float, pts: np.ndarray) -> np.ndar
     """C[i, j] = 1 / (pts_i - x_j) for the CGL nodes x of [a, b]: times the
     weights w_j and over its row sum, row i holds the Lagrange-basis values.
 
-    A point within 1e-14 of a node, relative to the box, gets the row e_j / w_j
-    of that node; only the nearer bracketing node can be that close. A point
-    beyond [a, b] raises ``DomainBoundsError``.
+    A point within 1e-14 (b - a) of a node gets the row e_j / w_j of that
+    node; only the nearer bracketing node can be that close. A point beyond
+    [a, b] raises ``DomainBoundsError``.
     """
     pts = np.atleast_1d(np.asarray(pts, dtype=np.float64))
     bad = pts[~((pts >= a) & (pts <= b))]
@@ -162,7 +162,7 @@ def _inverse_differences(n: int, a: float, b: float, pts: np.ndarray) -> np.ndar
     x = cheb_nodes(n, a, b)
     near = np.searchsorted(x[1:-1], pts) + 1  # right bracketing node
     near -= np.abs(pts - x[near - 1]) < np.abs(pts - x[near])
-    rows = np.flatnonzero(np.abs(pts - x[near]) < 1e-14 * max(abs(a), abs(b), 1.0))
+    rows = np.flatnonzero(np.abs(pts - x[near]) < 1e-14 * (b - a))
     cols = near[rows]
     lhs = np.empty((pts.size, 2))
     lhs[:, 0], lhs[:, 1] = pts, 1.0

@@ -1,9 +1,11 @@
 """Cross approximation: build a TT tensor by sampling a black-box function.
 
 The function is queried on structured fiber sets chosen by alternating
-maxvol pivoting; ranks start small and grow one at a time until the relative
-error on a held-out random index set drops below the target or a rank cap is
-hit. The black box maps an (m, d) integer index array to m values and must be
+maxvol pivoting. Ranks start small and double after each sweep that misses the
+target error on a held-out random index set, up to a rank cap; at the cap the
+sweeps go on while that error falls. The result is rounded once at 1% of the
+target, so a doubling that overshoots keeps only the ranks the target needs.
+The black box maps an (m, d) integer index array to m values and must be
 deterministic: within one call of ``cross_approximate`` each distinct index is
 evaluated once, and repeats are answered from flag and value tables over the
 flat grid index: 9 bytes a node, paged in as indices are first seen.
@@ -18,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidShapeError, NumericalDomainError
-from .tt import TTTensor, tt_eval
+from .tt import TTTensor, tt_eval, tt_round
 
 _VALIDATION_SIZE = 1000  # held-out random indices scoring each sweep
 _START_RANK = 2  # internal ranks of the first sweep
@@ -104,9 +106,13 @@ def cross_approximate(f, mode_sizes, tol: float,
     """Approximate ``f`` on the index grid by a TT tensor.
 
     Stops once the relative l2 error on ``_VALIDATION_SIZE`` held-out random
-    indices is <= tol; otherwise bumps every internal rank by one and resweeps
-    until every rank reaches ``_MAX_RANK`` or ``_MAX_SWEEPS`` sweeps have run.
-    Without convergence it returns the best sweep, ``converged`` false.
+    indices is <= tol. Otherwise it doubles every internal rank, up to
+    ``_MAX_RANK``, and resweeps; once every rank is at its cap it resweeps only
+    while the held-out error keeps falling, and never past ``_MAX_SWEEPS``
+    sweeps. The converged sweep, or else the best one, is rounded once by
+    ``tt_round`` at 1% of tol; the rounded tensor is returned unless its
+    held-out error exceeds both tol and the sweep's own. ``val_error`` and
+    ``converged`` describe the tensor returned.
     """
     sizes = tuple(int(n) for n in mode_sizes)
     d = len(sizes)
@@ -133,6 +139,20 @@ def cross_approximate(f, mode_sizes, tol: float,
     val_ref = call(val_idx)
     val_scale = np.linalg.norm(val_ref)
 
+    def held_out_error(t):
+        approx = tt_eval(t, val_idx)
+        return (np.linalg.norm(approx - val_ref) / val_scale
+                if val_scale > 0 else float(np.linalg.norm(approx)))
+
+    def result(t, err):
+        # the held-out error weighs the tails more than the Frobenius norm
+        # that tt_round bounds, so keep the rounding only if it holds the mark
+        rounded = tt_round(t, 0.01 * tol)
+        rounded_err = held_out_error(rounded)
+        if rounded_err <= max(tol, err):
+            t, err = rounded, rounded_err
+        return CrossResult(t, bool(err <= tol), float(err), evals, sweep)
+
     caps = [1] + [min(_MAX_RANK, math.prod(sizes[:k]), math.prod(sizes[k:]))
                   for k in range(1, d)] + [1]
 
@@ -142,7 +162,6 @@ def cross_approximate(f, mode_sizes, tol: float,
         right[k] = _random_rows(rng, sizes[k:], min(_START_RANK, caps[k]))
 
     best = None
-    val_err = np.inf
     sweep = 0
     while sweep < _MAX_SWEEPS:
         sweep += 1
@@ -178,23 +197,21 @@ def cross_approximate(f, mode_sizes, tol: float,
 
         try:
             t = TTTensor(cores, copy=False)
-            approx = tt_eval(t, val_idx)
-            val_err = (np.linalg.norm(approx - val_ref) / val_scale
-                       if val_scale > 0 else float(np.linalg.norm(approx)))
+            val_err = held_out_error(t)
         except NumericalDomainError:
             val_err = np.inf
-        if np.isfinite(val_err) and (best is None or val_err < best[1]):
-            best = (t, val_err)
         if val_err <= tol:
-            return CrossResult(t, True, float(val_err), evals, sweep)
-        if all(right[k].shape[0] >= caps[k] for k in range(1, d)):
+            return result(t, val_err)
+        falling = np.isfinite(val_err) and (best is None or val_err < best[1])
+        if falling:
+            best = (t, val_err)
+        if not falling and all(right[k].shape[0] >= caps[k] for k in range(1, d)):
             break
         for k in range(1, d):
-            want = min(right[k].shape[0] + 1, caps[k])
+            want = min(2 * right[k].shape[0], caps[k])
             if want > right[k].shape[0]:
                 right[k] = _random_rows(rng, sizes[k:], want, existing=right[k])
 
     if best is None:
         raise NumericalDomainError("cross approximation produced no usable sweep")
-    t, val_err = best
-    return CrossResult(t, False, float(val_err), evals, sweep)
+    return result(*best)

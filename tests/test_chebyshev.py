@@ -200,7 +200,7 @@ def _reference_interp_matrix(n, a, b, pts):
     if not inside.all():
         raise DomainBoundsError("outside")
     diff = pts[:, None] - x[None, :]
-    hit = np.abs(diff) < 1e-14 * max(abs(a), abs(b), 1.0)
+    hit = np.abs(diff) < 1e-14 * (b - a)
     np.copyto(diff, 1.0, where=hit)
     m = (w[None, :] / diff)
     s = m.sum(axis=1, keepdims=True)
@@ -211,6 +211,16 @@ def _reference_interp_matrix(n, a, b, pts):
         rows, cols = np.nonzero(hit)
         m[rows, cols] = 1.0
     return m
+
+
+def test_offset_box_snaps_only_within_its_width():
+    # the snap radius scales with b - a, not with |a| or |b|: on [1000, 1001]
+    # a point 5e-12 from a node lies outside it and reads x - a exactly
+    n, a, b = 49, 1000.0, 1001.0
+    x = cheb_nodes(n, a, b)
+    for gap in (5e-12, 1.2e-13):
+        p = x[20] + gap
+        assert abs(interp_matrix(n, a, b, [p])[0] @ (x - a) - (p - a)) <= 1e-15, gap
 
 
 def _point_sets(n, a, b, rng):

@@ -5,7 +5,7 @@ from ttflow import cross
 from ttflow.chebyshev import ChebGrid
 from ttflow.cross import cross_approximate, maxvol
 from ttflow.errors import InvalidShapeError, NumericalDomainError
-from ttflow.tt import TTTensor, tt_eval, tt_from_dense
+from ttflow.tt import tt_eval, tt_from_dense, tt_scale
 
 
 def test_maxvol_selects_dominant_rows():
@@ -69,8 +69,92 @@ def test_cross_rank_cap_flag(monkeypatch):
     res = cross_approximate(f, dense.shape, tol=1e-10, rng=np.random.default_rng(6))
     assert not res.converged
     assert max(res.tensor.ranks) <= 3
-    # ranks 2 -> 3 take two sweeps; the cap stops the loop before the budget
+    # ranks 2 -> 3 take two sweeps; a third at the cap misses the best held-out
+    # error, so the loop stops before the budget
     assert res.sweeps < 8
+
+
+def test_cross_doubles_ranks_up_to_the_cap(monkeypatch):
+    # the (x1 + x2 + x3)^4 term couples the modes: rank 29 at tol 1e-8
+    grid = ChebGrid.uniform(3, 31, -8.0, 8.0)
+
+    def f(idx):
+        x = grid.index_to_point(idx)
+        return (np.exp(-0.7 * ((x - 1.0) ** 2).sum(axis=1))
+                + 0.5 * np.exp(-0.05 * (x.sum(axis=1) + 1.5) ** 4 / 9
+                               - 0.1 * (x ** 2).sum(axis=1)))
+
+    asked = {}
+    draw = cross._random_rows
+
+    def recording_rows(rng, sizes, count, existing=None):
+        asked.setdefault(len(sizes), []).append(count)
+        return draw(rng, sizes, count, existing)
+
+    monkeypatch.setattr(cross, "_random_rows", recording_rows)
+    res = cross_approximate(f, grid.ns, tol=1e-8, rng=np.random.default_rng(3))
+    assert res.converged and max(res.tensor.ranks) > 8
+    for counts in asked.values():
+        assert counts[0] == cross._START_RANK
+        assert all(c == min(2 * p, cross._MAX_RANK) for p, c in zip(counts, counts[1:]))
+        assert counts[-1] == cross._MAX_RANK
+
+
+def _rank_5_target():
+    # a sum of five separable products: TT ranks 5, where doubling asks for 8
+    rng = np.random.default_rng(13)
+    factors = [rng.uniform(0.5, 2.0, (5, n)) for n in (20, 18, 16)]
+    dense = np.einsum("ri,rj,rk->ijk", *factors)
+    return dense, lambda idx: dense[idx[:, 0], idx[:, 1], idx[:, 2]]
+
+
+def test_cross_rounds_an_overshoot_to_the_exact_rank():
+    dense, f = _rank_5_target()
+    res = cross_approximate(f, dense.shape, tol=1e-10, rng=np.random.default_rng(14))
+    assert res.converged and res.tensor.ranks == (1, 5, 5, 1)
+    rng = np.random.default_rng(15)
+    idx = np.stack([rng.integers(0, n, size=2000) for n in dense.shape], axis=1)
+    ref = f(idx)
+    assert np.linalg.norm(tt_eval(res.tensor, idx) - ref) / np.linalg.norm(ref) <= 1e-9
+
+
+def test_cross_keeps_the_sweep_when_rounding_misses_the_tolerance(monkeypatch):
+    # a rounding that costs the held-out tolerance is dropped, not returned
+    dense, f = _rank_5_target()
+    monkeypatch.setattr(cross, "tt_round", lambda t, tol: tt_scale(t, 1.0 + 1e-6))
+    res = cross_approximate(f, dense.shape, tol=1e-10, rng=np.random.default_rng(14))
+    assert res.converged and res.val_error <= 1e-10
+    assert res.tensor.ranks == (1, 8, 8, 1)  # the sweep's own ranks
+
+
+def test_cross_sweeps_at_the_cap_while_the_error_falls(monkeypatch):
+    # a correlated Gaussian needs rank 15 at tol 1e-8; capped at 4, the
+    # held-out error falls at the second sweep at the cap and rises at the third
+    grid = ChebGrid.uniform(3, 31, -8.0, 8.0)
+
+    def f(idx):
+        x = grid.index_to_point(idx)
+        return np.exp(-0.5 * (x ** 2).sum(axis=1)
+                      - 0.4 * (x[:, 0] * x[:, 1] + x[:, 1] * x[:, 2]))
+
+    scored = []  # (internal ranks, held-out error) per tt_eval call
+    evaluate = cross.tt_eval
+
+    def recording_eval(t, idx):
+        approx = evaluate(t, idx)
+        ref = f(idx)
+        scored.append((t.ranks[1:-1], np.linalg.norm(approx - ref) / np.linalg.norm(ref)))
+        return approx
+
+    monkeypatch.setattr(cross, "tt_eval", recording_eval)
+    monkeypatch.setattr(cross, "_MAX_RANK", 4)
+    res = cross_approximate(f, grid.ns, tol=1e-8, rng=np.random.default_rng(3))
+    sweeps = scored[:-1]  # the last call scores the rounded result
+    assert not res.converged and res.sweeps == len(sweeps) == 4
+    assert [r for r, _ in sweeps] == [(2, 2), (4, 4), (4, 4), (4, 4)]
+    errs = [e for _, e in sweeps]
+    assert errs[2] < errs[1] and errs[3] > errs[2]
+    assert abs(res.val_error - errs[2]) <= 1e-6 * errs[2]
 
 
 def test_cross_one_mode_takes_one_sweep():
